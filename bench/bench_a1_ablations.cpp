@@ -47,7 +47,7 @@ int main() {
     }
     table.print(std::cout);
     bench::note(
-        "The minimal bridge halves the worst-case stretch at identical\n"
+        "The minimal bridge cuts the worst-case stretch at identical\n"
         "congestion: the h+1 prescription is a proof convenience (it gives\n"
         "condition (iii) and the M1-in-bridge alignment extra slack), not a\n"
         "performance necessity on these workloads.\n");
@@ -73,9 +73,9 @@ int main() {
     bench::note(
         "Erasing cycles only ever removes load, and on the d-dimensional\n"
         "algorithm it is a large win (bitonic paths often double back near\n"
-        "the bridge): C drops by a third and paths shorten markedly. The\n"
-        "paper's remark that removal never hurts is confirmed -- with room\n"
-        "to spare.\n");
+        "the bridge): C drops by over a quarter and paths shorten markedly.\n"
+        "The paper's remark that removal never hurts is confirmed -- with\n"
+        "room to spare.\n");
   }
 
   bench::note("(3) Naive vs frugal randomness (identical guarantees):");

@@ -12,6 +12,8 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/route_batch.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -60,6 +62,19 @@ inline int scale() {
   if (env == nullptr) return 1;
   const int s = std::atoi(env);
   return s >= 1 ? s : 1;
+}
+
+// Node-list paths of `problem` for `seed`, routed on the calling thread:
+// packet i draws from packet_rng(seed, i), as on every entry point.
+inline std::vector<Path> route_paths(const Router& router,
+                                     const RoutingProblem& problem,
+                                     std::uint64_t seed) {
+  ThreadPool inline_pool(1);
+  RouteBatchOptions options;
+  options.seed = seed;
+  std::vector<Path> paths;
+  route_batch_paths(router, problem.demands, inline_pool, options, paths);
+  return paths;
 }
 
 }  // namespace oblivious::bench

@@ -36,11 +36,8 @@ int main() {
         build_pi_a(mesh, router, l, rng, /*samples_per_packet=*/4 * kappa);
     RouteAllOptions options;
     options.seed = 5;
-    RunningStats bits;
-    const std::vector<Path> pia_paths =
-        route_all(mesh, router, inst.problem, options, &bits);
     const RouteSetMetrics pia =
-        measure_paths(mesh, inst.problem, pia_paths, 1.0);
+        evaluate_with_bound(mesh, router, inst.problem, 1.0, options);
 
     const RoutingProblem base = block_exchange(mesh, l);
     const RouteSetMetrics full = evaluate_with_bound(
@@ -48,7 +45,7 @@ int main() {
 
     table.row()
         .add(kappa)
-        .add(bits.mean(), 1)
+        .add(pia.bits_per_packet.mean(), 1)
         .add(static_cast<std::int64_t>(inst.problem.size()))
         .add(pia.congestion)
         .add(static_cast<double>(l) / (2.0 * kappa), 1)

@@ -66,7 +66,7 @@ int main() {
   bench::note(
       "\nExpected: the offline optimizer sits within ~1.5x of the lower\n"
       "bound (so the bound is a faithful stand-in for C*), and the\n"
-      "oblivious algorithm is a factor of 3-6 above the offline optimum on\n"
+      "oblivious algorithm is a factor of 2-3 above the offline optimum on\n"
       "a log2 n = 12 mesh -- inside the O(log n) competitive ratio, with\n"
       "zero knowledge of the traffic. The Maggs et al. lower bound\n"
       "Omega(log n / log log n) on the competitive ratio of ANY oblivious\n"

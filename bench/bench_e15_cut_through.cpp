@@ -34,9 +34,8 @@ int main() {
        {Algorithm::kEcube, Algorithm::kValiant, Algorithm::kAccessTree,
         Algorithm::kHierarchical2d}) {
     const auto router = make_router(a, mesh);
-    RouteAllOptions options;
-    options.seed = 7;
-    const std::vector<Path> paths = route_all(mesh, *router, problem, options);
+    const std::vector<Path> paths =
+        bench::route_paths(*router, problem, /*seed=*/7);
     table.row().add(router->name());
     std::int64_t c = 0;
     std::int64_t d = 0;

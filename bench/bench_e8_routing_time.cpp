@@ -39,10 +39,8 @@ int main() {
                  "makespan fifo", "makespan rank", "ftg/max(C,D)"});
     for (const Algorithm a : algorithms_for(mesh)) {
       const auto router = make_router(a, mesh);
-      RouteAllOptions options;
-      options.seed = 11;
       const std::vector<Path> paths =
-          route_all(mesh, *router, w.problem, options);
+          bench::route_paths(*router, w.problem, /*seed=*/11);
 
       std::int64_t makespans[3] = {};
       SimulationResult last;

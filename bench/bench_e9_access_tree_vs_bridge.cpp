@@ -32,10 +32,8 @@ int main() {
     for (const Algorithm a :
          {Algorithm::kAccessTree, Algorithm::kHierarchical2d}) {
       const auto router = make_router(a, mesh);
-      RouteAllOptions options;
-      options.seed = 7;
       const std::vector<Path> paths =
-          route_all(mesh, *router, problem, options);
+          bench::route_paths(*router, problem, /*seed=*/7);
       double total = 0;
       std::int64_t worst = 0;
       for (const Path& p : paths) {

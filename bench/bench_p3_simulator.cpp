@@ -21,9 +21,7 @@ const Mesh& mesh_32() {
 const std::vector<Path>& transpose_paths() {
   static const std::vector<Path> paths = [] {
     const auto router = make_router(Algorithm::kHierarchical2d, mesh_32());
-    RouteAllOptions options;
-    options.seed = 3;
-    return route_all(mesh_32(), *router, transpose(mesh_32()), options);
+    return bench::route_paths(*router, transpose(mesh_32()), /*seed=*/3);
   }();
   return paths;
 }

@@ -21,10 +21,11 @@
 #include <vector>
 
 #include "analysis/congestion.hpp"
-#include "analysis/evaluate.hpp"
 #include "bench_common.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/route_batch.hpp"
+#include "parallel/thread_pool.hpp"
 #include "routing/registry.hpp"
 #include "util/flags.hpp"
 #include "util/timer.hpp"
@@ -46,16 +47,20 @@ RoutingProblem random_pairs(const Mesh& mesh, std::size_t packets) {
   return p;
 }
 
-// One full pipeline pass: route every packet as segments, account every
-// edge load, reduce to the maximum. Returns wall seconds; accumulates the
-// congestion into `checksum` so the work cannot be optimized away.
+// One full pipeline pass: route every packet as segments on the packet
+// driver's scalar loop (the per-packet path whose instrumentation the
+// budget polices) on the calling thread, account every edge load, reduce
+// to the maximum. Returns wall seconds; accumulates the congestion into
+// `checksum` so the work cannot be optimized away.
 double run_once(const Mesh& mesh, const Router& router,
                 const RoutingProblem& problem, std::uint64_t& checksum) {
   WallTimer timer;
-  RouteAllOptions options;
+  ThreadPool inline_pool(1);
+  RouteBatchOptions options;
   options.seed = 1;
-  const std::vector<SegmentPath> paths =
-      route_all_segments(mesh, router, problem, options);
+  options.engine = BatchEngine::kScalar;
+  std::vector<SegmentPath> paths;
+  route_batch(router, problem.demands, inline_pool, options, paths);
   EdgeLoadMap loads(mesh);
   loads.add_segment_paths(paths);
   checksum += loads.max_load();

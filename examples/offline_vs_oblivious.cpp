@@ -12,6 +12,8 @@
 #include "analysis/evaluate.hpp"
 #include "analysis/heatmap.hpp"
 #include "offline/greedy.hpp"
+#include "parallel/route_batch.hpp"
+#include "parallel/thread_pool.hpp"
 #include "routing/registry.hpp"
 #include "util/table.hpp"
 #include "workloads/generators.hpp"
@@ -44,9 +46,11 @@ int main(int argc, char** argv) {
 
   // Oblivious: each packet alone.
   const auto hier = make_router(Algorithm::kHierarchical2d, mesh);
-  RouteAllOptions options;
+  ThreadPool pool(1);
+  RouteBatchOptions options;
   options.seed = seed;
-  const std::vector<Path> hier_paths = route_all(mesh, *hier, problem, options);
+  std::vector<Path> hier_paths;
+  route_batch_paths(*hier, problem.demands, pool, options, hier_paths);
   EdgeLoadMap hier_loads(mesh);
   hier_loads.add_paths(hier_paths);
   table.row()
@@ -57,8 +61,8 @@ int main(int argc, char** argv) {
 
   // Deterministic: not even random bits.
   const auto ecube = make_router(Algorithm::kEcube, mesh);
-  const std::vector<Path> ecube_paths =
-      route_all(mesh, *ecube, problem, options);
+  std::vector<Path> ecube_paths;
+  route_batch_paths(*ecube, problem.demands, pool, options, ecube_paths);
   EdgeLoadMap ecube_loads(mesh);
   ecube_loads.add_paths(ecube_paths);
   table.row()

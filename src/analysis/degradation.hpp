@@ -14,7 +14,7 @@
 // Determinism: paths, statuses, and every reported number are
 // bit-identical for any thread count -- the fault schedule and the
 // per-packet rng streams are both counter-derived (fault/fault_model.hpp,
-// parallel/route_batch.hpp), and all merges are integer sums.
+// parallel/packet_driver.hpp), and all merges are integer sums.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,6 @@
 #include "analysis/lower_bound.hpp"
 #include "analysis/sketch/load_accountant.hpp"
 #include "mesh/mesh.hpp"
-#include "mesh/path.hpp"
 #include "mesh/segment_path.hpp"
 #include "routing/router.hpp"
 #include "util/stats.hpp"
@@ -29,74 +28,30 @@ struct RouteSetMetrics {
   double lower_bound = 0.0;           // C* lower bound (boundary/average)
   double congestion_ratio = 0.0;      // C / max(lower_bound, 1)
   RunningStats bits_per_packet;       // random bits drawn per packet
+  // Wall time of the routing pass: the driver call's one
+  // routing.route_seconds sample (routing plus per-packet accounting and
+  // metering). Left 0 by measure_segment_paths, which routes nothing.
   double routing_seconds = 0.0;
-  // Filled by the accounting-aware entry points: how the congestion was
-  // measured, the accountant's memory, and (sketch mode) its additive
-  // overestimation ceiling.
+  // How the congestion was measured, the accountant's memory, and (sketch
+  // mode) its additive overestimation ceiling.
   AccountingMode accounting = AccountingMode::kExact;
   std::size_t accounting_bytes = 0;
   double accounting_error_bound = 0.0;
 };
 
+// Options of evaluate / evaluate_with_bound.
 struct RouteAllOptions {
   std::uint64_t seed = 1;
   // Remove cycles from the selected paths (the paper notes this never
   // increases congestion).
   bool erase_cycles = false;
-  // Collect per-packet random-bit statistics (small overhead).
+  // Collect per-packet random-bit statistics (small overhead). A metered
+  // run stays on the scalar loop, where the meter sees every draw; it
+  // selects the same paths either way.
   bool meter_bits = true;
 };
 
-// Routes every demand independently (obliviously).
-// \pre every demand's src and dst are node ids of `mesh`.
-std::vector<Path> route_all(const Mesh& mesh, const Router& router,
-                            const RoutingProblem& problem,
-                            const RouteAllOptions& options,
-                            RunningStats* bits_per_packet = nullptr);
-
-// Segment-pipeline twin of route_all: same seed, same draw order, so the
-// returned segment paths describe exactly the same routes -- but without
-// ever materializing node lists.
-std::vector<SegmentPath> route_all_segments(const Mesh& mesh,
-                                            const Router& router,
-                                            const RoutingProblem& problem,
-                                            const RouteAllOptions& options,
-                                            RunningStats* bits_per_packet = nullptr);
-
-// Buffer-reusing core of route_all_segments: routes into `paths` (resized
-// to the problem; surviving entries keep their heap capacity) and threads
-// `scratch` through every packet, so a caller looping over many problems
-// or trials pays no steady-state allocation. Same seed handling and draw
-// order as route_all_segments -- the results are byte-identical.
-void route_all_segments_into(const Mesh& mesh, const Router& router,
-                             const RoutingProblem& problem,
-                             const RouteAllOptions& options,
-                             RouteScratch& scratch,
-                             std::vector<SegmentPath>& paths,
-                             RunningStats* bits_per_packet = nullptr);
-
-// Parallel batch routing: demands are routed concurrently on the pool.
-// Because path selection is oblivious, parallelism is trivially safe; the
-// per-packet rng is derived deterministically from (seed, packet index),
-// so the result is identical for any thread count and chunking -- but it
-// intentionally differs from route_all's single-stream draw order.
 class ThreadPool;
-std::vector<Path> route_all_parallel(const Mesh& mesh, const Router& router,
-                                     const RoutingProblem& problem,
-                                     ThreadPool& pool, std::uint64_t seed);
-
-// Parallel segment routing with the same counter-derived per-packet RNG
-// streams as route_all_parallel (Rng(splitmix64(seed ^ splitmix64(i)))):
-// output is bit-identical for any thread count and chunking.
-std::vector<SegmentPath> route_all_segments_parallel(
-    const Mesh& mesh, const Router& router, const RoutingProblem& problem,
-    ThreadPool& pool, std::uint64_t seed);
-
-// Computes metrics for an existing path set.
-// \pre paths.size() == problem.size(), one (valid mesh) path per demand.
-RouteSetMetrics measure_paths(const Mesh& mesh, const RoutingProblem& problem,
-                              const std::vector<Path>& paths,
-                              double lower_bound);
 
 // Metrics for an existing segment path set: congestion via the O(segments)
 // difference-array accounting, stretch/dilation from run lengths.
@@ -108,25 +63,23 @@ RouteSetMetrics measure_segment_paths(const Mesh& mesh,
 
 // Route + account in one parallel pass through a LoadAccountant of the
 // requested mode. Workers claim fixed-size accounting blocks (see
-// SketchConfig::block_size) and hand finished blocks to fold_block, so
-// every reported number -- exact or sketch -- is identical for any thread
-// count and block completion order. When `paths_out` is non-null the
-// selected paths are stored there.
+// SketchConfig::block_size), charge a block's packets in index order once
+// it is routed, and hand finished blocks to fold_block, so every reported
+// number -- exact or sketch -- is identical for any thread count, block
+// completion order, and engine. Packet i draws from packet_rng(seed, i),
+// like every other entry point: the paths are those route_batch selects
+// for the same seed. When `paths_out` is non-null they are stored there.
 RouteSetMetrics route_and_measure_parallel(
     const Mesh& mesh, const Router& router, const RoutingProblem& problem,
     double lower_bound, ThreadPool& pool, std::uint64_t seed,
-    const AccountingOptions& accounting,
+    const AccountingOptions& accounting = {},
     std::vector<SegmentPath>* paths_out = nullptr);
 
-// Exact-accounting shorthand for the overload above.
-RouteSetMetrics route_and_measure_parallel(
-    const Mesh& mesh, const Router& router, const RoutingProblem& problem,
-    double lower_bound, ThreadPool& pool, std::uint64_t seed,
-    std::vector<SegmentPath>* paths_out = nullptr);
-
-// Route + measure in one call. The congestion lower bound uses the
-// hierarchical decomposition when the mesh supports one, otherwise the cut
-// bounds.
+// Route + measure in one call, inline on the calling thread: the same
+// measuring pass as route_and_measure_parallel with exact accounting, so
+// for one seed both report the same paths and numbers. The congestion
+// lower bound uses the hierarchical decomposition when the mesh supports
+// one, otherwise the cut bounds.
 RouteSetMetrics evaluate(const Mesh& mesh, const Router& router,
                          const RoutingProblem& problem,
                          const RouteAllOptions& options = {});

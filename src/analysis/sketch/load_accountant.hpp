@@ -30,6 +30,7 @@
 #include "mesh/path.hpp"
 #include "mesh/segment_path.hpp"
 #include "util/stats.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace oblivious {
 
@@ -141,6 +142,48 @@ class LoadAccountant {
   // What exact mode would allocate for `mesh` (no allocation happens):
   // the feasibility check for gigantic meshes.
   static std::size_t exact_bytes(const Mesh& mesh);
+};
+
+// One parallel worker's private share of a LoadAccountant. Charges go to
+// shard(); end_block() hands a finished fixed-size block to the target's
+// ordered fold_block (sketch mode) and close() merges the accumulated
+// shard once (exact mode: sums commute, and clearing an O(E) array per
+// block would cost a memset each). Either way the target ends
+// bit-identical for any thread count and block completion order. Folds
+// and merges lock `fold_mutex`, which every worker of one run shares.
+class AccountingShard {
+ public:
+  AccountingShard(LoadAccountant& target, oblv::Mutex& fold_mutex)
+      : target_(target),
+        fold_mutex_(fold_mutex),
+        shard_(target.clone_empty()),
+        per_block_fold_(target.mode() == AccountingMode::kSketch) {}
+
+  LoadAccountant& shard() { return *shard_; }
+
+  // \pre every packet of block `block` has been charged to shard().
+  void end_block(std::size_t block) {
+    charged_ = true;
+    if (!per_block_fold_) return;
+    {
+      oblv::MutexLock lock(fold_mutex_);
+      target_.fold_block(block, *shard_);
+    }
+    shard_->clear();
+  }
+
+  void close() {
+    if (per_block_fold_ || !charged_) return;
+    oblv::MutexLock lock(fold_mutex_);
+    target_.merge(*shard_);
+  }
+
+ private:
+  LoadAccountant& target_;
+  oblv::Mutex& fold_mutex_;
+  std::unique_ptr<LoadAccountant> shard_;
+  bool per_block_fold_;
+  bool charged_ = false;
 };
 
 }  // namespace oblivious

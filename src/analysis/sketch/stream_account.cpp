@@ -1,15 +1,9 @@
 #include "analysis/sketch/stream_account.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <memory>
-
 #include "obs/metrics.hpp"
-#include "parallel/route_batch.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/packet_driver.hpp"
 #include "util/check.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/timer.hpp"
 
 namespace oblivious {
 
@@ -30,12 +24,47 @@ DemandSource DemandSource::random_pairs(const Mesh& mesh, std::size_t count,
   return s;
 }
 
+namespace {
+
+// Charges each packet straight into the worker's accounting shard and
+// drops its path. Streaming stays one packet at a time on the scalar
+// loop: buffering a block of paths for the SoA engine would cost about
+// 1.4 MB per worker for a default 8192-packet block.
+struct StreamSink {
+  const Router& router;
+  const DemandSource& source;
+  LoadAccountant& accountant;
+  oblv::Mutex fold_mutex;
+
+  struct Worker final : PacketWorker {
+    explicit Worker(StreamSink& s)
+        : sink(s), shard(s.accountant, s.fold_mutex) {}
+    std::int64_t route(std::size_t i, Rng& rng,
+                       RouteScratch& scratch) override {
+      const Demand d = sink.source.demand(i);
+      route_to(sink.router, d.src, d.dst, rng, scratch, path);
+      shard.shard().add_segments(path);
+      return sampled_hops(i, path);
+    }
+    void block_done(std::size_t block, std::size_t /*begin*/,
+                    std::size_t /*end*/) override {
+      shard.end_block(block);
+    }
+    void close() override { shard.close(); }
+
+    StreamSink& sink;
+    AccountingShard shard;
+    SegmentPath path;
+  };
+};
+
+}  // namespace
+
 StreamAccountResult route_and_account(const Router& router,
                                       const DemandSource& source,
                                       ThreadPool& pool,
                                       const StreamAccountOptions& options,
                                       LoadAccountant& accountant) {
-  const WallTimer timer;
   const std::size_t n = source.size();
   std::size_t block_size = options.block_size;
   if (block_size == 0) block_size = accountant.block_size();
@@ -45,50 +74,15 @@ StreamAccountResult route_and_account(const Router& router,
   result.blocks = (n + block_size - 1) / block_size;
   if (n == 0) return result;
 
-  // Workers claim BLOCKS (fixed size, thread-count independent), not
-  // thread-count-derived chunks: the block partition is what makes the
-  // folded accountant bit-identical for any pool size.
-  const bool per_block_fold = accountant.mode() == AccountingMode::kSketch;
-  std::atomic<std::size_t> cursor{0};
-  oblv::Mutex fold_mu;
-  auto worker = [&]() {
-    const std::unique_ptr<LoadAccountant> shard = accountant.clone_empty();
-    RouteScratch scratch;
-    SegmentPath sp;
-    bool charged = false;
-    for (;;) {
-      const std::size_t block = cursor.fetch_add(1);
-      const std::size_t begin = block * block_size;
-      if (begin >= n) break;
-      const std::size_t end = std::min(n, begin + block_size);
-      if (per_block_fold) shard->clear();
-      charged = true;
-      for (std::size_t i = begin; i < end; ++i) {
-        const Demand d = source.demand(i);
-        // oblv-lint: allow(D006) counter-derived per-packet stream -- the
-        // shared packet_rng(seed, i) scheme of every parallel driver.
-        Rng rng = packet_rng(options.seed, i);
-        router.route_segments_into(d.src, d.dst, rng, scratch, sp);
-        shard->add_segments(sp);
-      }
-      if (per_block_fold) {
-        oblv::MutexLock lock(fold_mu);
-        accountant.fold_block(block, *shard);
-      }
-    }
-    if (!per_block_fold && charged) {
-      // Exact shards accumulate across blocks (clearing would cost an
-      // O(E) memset per block) and merge once: sums commute.
-      oblv::MutexLock lock(fold_mu);
-      accountant.merge(*shard);
-    }
-  };
-
-  const std::size_t workers = std::max<std::size_t>(1, pool.num_threads());
-  for (std::size_t w = 0; w < workers; ++w) pool.submit(worker);
-  pool.wait_idle();
-
-  result.seconds = timer.elapsed_seconds();
+  // Workers claim BLOCKS of a fixed size (thread-count independent): the
+  // block partition is what makes the folded accountant bit-identical
+  // for any pool size.
+  PacketRun run;
+  run.count = n;
+  run.options.seed = options.seed;
+  run.options.chunk_size = block_size;
+  StreamSink sink{router, source, accountant, {}};
+  result.seconds = drive_packets(router, &pool, run, sink);
   OBLV_COUNTER_ADD("stream.packets_routed", static_cast<std::int64_t>(n));
   OBLV_STAT_RECORD("stream.block_seconds",
                    result.seconds / static_cast<double>(result.blocks));

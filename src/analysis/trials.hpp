@@ -25,8 +25,10 @@ struct TrialSummary {
 };
 
 // Runs `trials` independent routings of `problem` with seeds
-// base_seed, base_seed+1, ...; uses `pool` when provided. Congestion is
-// measured through a LoadAccountant of the requested mode (each trial is
+// base_seed, base_seed+1, ...; uses `pool` when provided. Trial t selects
+// the paths route_batch selects for seed base_seed + t, and the summary
+// is bit-identical with and without a pool. Congestion is measured
+// through a LoadAccountant of the requested mode (each trial is
 // accounted sequentially inside one worker, so sketch estimates are
 // deterministic and thread-count independent).
 // \pre trials >= 1.

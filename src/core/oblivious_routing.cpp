@@ -1,6 +1,7 @@
 #include "core/oblivious_routing.hpp"
 
-#include "util/timer.hpp"
+#include "parallel/route_batch.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace oblivious {
 
@@ -16,18 +17,16 @@ Path ObliviousMeshRouting::route_one(NodeId s, NodeId t, std::uint64_t seed) con
 
 RoutingRun ObliviousMeshRouting::route(const RoutingProblem& problem,
                                        std::uint64_t seed) const {
+  // evaluate and route_batch_paths draw packet i from the same stream, so
+  // the metrics describe exactly the returned paths.
   RoutingRun run;
   RouteAllOptions options;
   options.seed = seed;
-  RunningStats bits;
-  WallTimer timer;
-  run.paths = route_all(mesh_, *router_, problem, options, &bits);
-  const double seconds = timer.elapsed_seconds();
-  run.metrics = measure_paths(mesh_, problem, run.paths,
-                              best_lower_bound(mesh_, problem));
-  run.metrics.algorithm = router_->name();
-  run.metrics.bits_per_packet = bits;
-  run.metrics.routing_seconds = seconds;
+  run.metrics = evaluate(mesh_, *router_, problem, options);
+  ThreadPool inline_pool(1);
+  RouteBatchOptions batch;
+  batch.seed = seed;
+  route_batch_paths(*router_, problem.demands, inline_pool, batch, run.paths);
   return run;
 }
 
@@ -37,7 +36,7 @@ SegmentRoutingRun ObliviousMeshRouting::route_segments(
   SegmentRoutingRun run;
   run.metrics = route_and_measure_parallel(mesh_, *router_, problem,
                                            best_lower_bound(mesh_, problem),
-                                           pool, seed, &run.paths);
+                                           pool, seed, {}, &run.paths);
   return run;
 }
 

@@ -2,7 +2,7 @@
 //
 // The routing core owes its testability to seeded determinism (every
 // draw is a pure function of a seed and a counter -- see FaultModel in
-// src/fault/ and packet_rng in src/parallel/route_batch.hpp). This
+// src/fault/ and packet_rng in src/parallel/packet_driver.hpp). This
 // layer extends the same discipline to *transport* faults: torn/short
 // reads, partial writes, stalls and connection resets injected at the
 // two sanctioned syscall helpers in net.cpp (read_frame / write_all).

@@ -1,9 +1,9 @@
-// Fault-aware twin of the chunked batch routing driver.
+// Fault-aware batch routing: the fault-tally sink of the packet driver.
 //
 // route_batch_with_faults drives a FaultAwareRouter over a demand array
-// with the exact scheme of parallel/route_batch.cpp -- atomic chunk
-// cursor, per-worker RouteScratch, per-packet rng streams derived from
-// (seed, index) -- and additionally records each packet's recovery
+// through the one chunked driver (parallel/packet_driver.hpp) -- atomic
+// block cursor, per-worker RouteScratch, per-packet rng streams
+// packet_rng(seed, i) -- and additionally records each packet's recovery
 // outcome. Because both the fault schedule and the packet streams are
 // counter-derived, the produced paths AND the per-packet statuses are
 // bit-identical for any thread count, chunk size, and claim order.
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "fault/fault_router.hpp"
-#include "mesh/path.hpp"
 #include "mesh/segment_path.hpp"
 #include "parallel/route_batch.hpp"
 #include "workloads/problem.hpp"
@@ -49,14 +48,6 @@ FaultBatchStats route_batch_with_faults(
     const FaultAwareRouter& router, std::span<const Demand> demands,
     ThreadPool& pool, const RouteBatchOptions& options,
     std::vector<SegmentPath>& out,
-    std::vector<FaultRouteStatus>* statuses = nullptr);
-
-// Node-list twin (same rng streams, same statuses).
-// \pre every demand's endpoints are node ids of the router's mesh.
-FaultBatchStats route_batch_paths_with_faults(
-    const FaultAwareRouter& router, std::span<const Demand> demands,
-    ThreadPool& pool, const RouteBatchOptions& options,
-    std::vector<Path>& out,
     std::vector<FaultRouteStatus>* statuses = nullptr);
 
 }  // namespace oblivious

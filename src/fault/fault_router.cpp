@@ -62,17 +62,37 @@ void FaultAwareRouter::record_outcome(const Mesh& mesh, NodeId s, NodeId t,
   }
 }
 
-FaultRouteOutcome FaultAwareRouter::route_with_faults(NodeId s, NodeId t,
-                                                      Rng& rng,
-                                                      RouteScratch& scratch,
-                                                      Path& out) const {
+namespace {
+
+bool crosses_failure(const FaultModel& faults, const Path& p,
+                     std::int64_t step) {
+  return faults.path_failed(p, step);
+}
+bool crosses_failure(const FaultModel& faults, const SegmentPath& sp,
+                     std::int64_t step) {
+  return faults.segments_failed(sp, step);
+}
+
+void take_detour(const Mesh& /*mesh*/, const Path& detour, Path& out) {
+  out.nodes.assign(detour.nodes.begin(), detour.nodes.end());
+}
+void take_detour(const Mesh& mesh, const Path& detour, SegmentPath& out) {
+  out = segments_from_path(mesh, detour);
+}
+
+}  // namespace
+
+template <typename PathT>
+FaultRouteOutcome FaultAwareRouter::recover(NodeId s, NodeId t, Rng& rng,
+                                            RouteScratch& scratch,
+                                            PathT& out) const {
   FaultRouteOutcome outcome;
   if (faults_->fault_free()) {
-    inner_->route_into(s, t, rng, scratch, out);
+    route_to(*inner_, s, t, rng, scratch, out);
     return outcome;
   }
   expects_route_args(s, t);
-  inner_->route_into(s, t, rng, scratch, out);
+  route_to(*inner_, s, t, rng, scratch, out);
   if (faults_->node_failed(s) || faults_->node_failed(t)) {
     // A dead endpoint is unrecoverable: no re-draw or detour can help.
     outcome.status = FaultRouteStatus::kDropped;
@@ -80,23 +100,22 @@ FaultRouteOutcome FaultAwareRouter::route_with_faults(NodeId s, NodeId t,
     record_outcome(*mesh_, s, t, outcome, out.length());
     return outcome;
   }
-  if (!faults_->path_failed(out, query_step_)) {
+  if (!crosses_failure(*faults_, out, query_step_)) {
     return outcome;  // first draw is clean
   }
   while (outcome.attempts < policy_.max_attempts) {
     ++outcome.attempts;
     outcome.backoff_steps +=
         backoff_for_retry(policy_.backoff_base, outcome.attempts - 1);
-    inner_->route_into(s, t, rng, scratch, out);
-    if (!faults_->path_failed(out, query_step_)) {
+    route_to(*inner_, s, t, rng, scratch, out);
+    if (!crosses_failure(*faults_, out, query_step_)) {
       outcome.status = FaultRouteStatus::kRetried;
       record_outcome(*mesh_, s, t, outcome, out.length());
       return outcome;
     }
   }
   if (greedy_detour(s, t, query_step_, rng, scratch.fault_detour)) {
-    out.nodes.assign(scratch.fault_detour.nodes.begin(),
-                     scratch.fault_detour.nodes.end());
+    take_detour(*mesh_, scratch.fault_detour, out);
     outcome.status = FaultRouteStatus::kDetoured;
     outcome.detour_hops = out.length();
     record_outcome(*mesh_, s, t, outcome, out.length());
@@ -110,47 +129,17 @@ FaultRouteOutcome FaultAwareRouter::route_with_faults(NodeId s, NodeId t,
   return outcome;
 }
 
+FaultRouteOutcome FaultAwareRouter::route_with_faults(NodeId s, NodeId t,
+                                                      Rng& rng,
+                                                      RouteScratch& scratch,
+                                                      Path& out) const {
+  return recover(s, t, rng, scratch, out);
+}
+
 FaultRouteOutcome FaultAwareRouter::route_segments_with_faults(
     NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
     SegmentPath& out) const {
-  FaultRouteOutcome outcome;
-  if (faults_->fault_free()) {
-    inner_->route_segments_into(s, t, rng, scratch, out);
-    return outcome;
-  }
-  expects_route_args(s, t);
-  inner_->route_segments_into(s, t, rng, scratch, out);
-  if (faults_->node_failed(s) || faults_->node_failed(t)) {
-    outcome.status = FaultRouteStatus::kDropped;
-    OBLV_COUNTER_ADD("fault.drops", 1);
-    record_outcome(*mesh_, s, t, outcome, out.length());
-    return outcome;
-  }
-  if (!faults_->segments_failed(out, query_step_)) {
-    return outcome;
-  }
-  while (outcome.attempts < policy_.max_attempts) {
-    ++outcome.attempts;
-    outcome.backoff_steps +=
-        backoff_for_retry(policy_.backoff_base, outcome.attempts - 1);
-    inner_->route_segments_into(s, t, rng, scratch, out);
-    if (!faults_->segments_failed(out, query_step_)) {
-      outcome.status = FaultRouteStatus::kRetried;
-      record_outcome(*mesh_, s, t, outcome, out.length());
-      return outcome;
-    }
-  }
-  if (greedy_detour(s, t, query_step_, rng, scratch.fault_detour)) {
-    out = segments_from_path(*mesh_, scratch.fault_detour);
-    outcome.status = FaultRouteStatus::kDetoured;
-    outcome.detour_hops = out.length();
-    record_outcome(*mesh_, s, t, outcome, out.length());
-    return outcome;
-  }
-  outcome.status = FaultRouteStatus::kDropped;
-  OBLV_COUNTER_ADD("fault.drops", 1);
-  record_outcome(*mesh_, s, t, outcome, out.length());
-  return outcome;
+  return recover(s, t, rng, scratch, out);
 }
 
 bool FaultAwareRouter::greedy_detour(NodeId s, NodeId t, std::int64_t step,
@@ -227,21 +216,6 @@ bool FaultAwareRouter::greedy_detour(NodeId s, NodeId t, std::int64_t step,
     out.nodes.push_back(cur);
   }
   return cur == t;
-}
-
-Path FaultAwareRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  Path out;
-  RouteScratch scratch;
-  route_into(s, t, rng, scratch, out);
-  return out;
-}
-
-SegmentPath FaultAwareRouter::route_segments(NodeId s, NodeId t,
-                                             Rng& rng) const {
-  SegmentPath out;
-  RouteScratch scratch;
-  route_segments_into(s, t, rng, scratch, out);
-  return out;
 }
 
 void FaultAwareRouter::route_into(NodeId s, NodeId t, Rng& rng,

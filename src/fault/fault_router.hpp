@@ -88,8 +88,6 @@ class FaultAwareRouter final : public Router {
   // Router interface: the same recovery policy, outcome reported only
   // through the fault.* metrics. Draw-for-draw identical to the inner
   // router when the model is fault_free().
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
   void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                   Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng,
@@ -109,6 +107,10 @@ class FaultAwareRouter final : public Router {
                      Path& out) const;
 
  private:
+  // The retry/backoff/detour policy for either path form.
+  template <typename PathT>
+  FaultRouteOutcome recover(NodeId s, NodeId t, Rng& rng,
+                            RouteScratch& scratch, PathT& out) const;
   void record_outcome(const Mesh& mesh, NodeId s, NodeId t,
                       const FaultRouteOutcome& outcome,
                       std::int64_t path_length) const;

@@ -7,7 +7,7 @@
 // path of length L on a d-dimensional mesh costs O(#segments) ~ O(d)
 // space for the one-bend routers rather than O(L). Conversion to and
 // from the node-list `Path` is lossless; the measurement pipeline
-// (EdgeLoadMap::add_segments, route_all_segments) consumes segments
+// (EdgeLoadMap::add_segments, route_batch) consumes segments
 // directly and never materializes nodes.
 #pragma once
 

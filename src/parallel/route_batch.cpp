@@ -1,164 +1,43 @@
 #include "parallel/route_batch.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <type_traits>
-
-#include "obs/metrics.hpp"
-#include "parallel/soa_batch.hpp"
-#include "parallel/thread_pool.hpp"
-#include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace oblivious {
 
 namespace {
 
-inline void check_endpoints(const Path& p, const Demand& demand) {
-  OBLV_CHECK(!p.nodes.empty() && p.source() == demand.src &&
-                 p.destination() == demand.dst,
-             "router returned a path with wrong endpoints");
-}
-inline void check_endpoints(const SegmentPath& sp, const Demand& demand) {
-  OBLV_CHECK(sp.source == demand.src && sp.destination() == demand.dst,
-             "router returned a path with wrong endpoints");
-}
+// Stores packet i's path in out[i].
+template <typename PathT>
+struct StoreSink {
+  const Router& router;
+  std::span<const Demand> demands;
+  std::vector<PathT>& out;
 
-inline void route_one(const Router& router, const Demand& demand, Rng& rng,
-                      RouteScratch& scratch, Path& out) {
-  router.route_into(demand.src, demand.dst, rng, scratch, out);
-}
-inline void route_one(const Router& router, const Demand& demand, Rng& rng,
-                      RouteScratch& scratch, SegmentPath& out) {
-  router.route_segments_into(demand.src, demand.dst, rng, scratch, out);
-}
+  struct Worker final : PacketWorker {
+    explicit Worker(StoreSink& s) : sink(s) {}
+    std::int64_t route(std::size_t i, Rng& rng,
+                       RouteScratch& scratch) override {
+      const Demand& d = sink.demands[i];
+      route_to(sink.router, d.src, d.dst, rng, scratch, sink.out[i]);
+      check_routed(sink.out[i], d);
+      return sampled_hops(i, sink.out[i]);
+    }
+    StoreSink& sink;
+  };
+};
 
-template <typename OutT>
+template <typename PathT>
 void run_batch(const Router& router, std::span<const Demand> demands,
                ThreadPool& pool, const RouteBatchOptions& options,
-               std::vector<OutT>& out) {
-  const Mesh& mesh = router.mesh();
-  if (options.validate_demands) {
-    for (const Demand& demand : demands) {
-      OBLV_REQUIRE(demand.src >= 0 && demand.src < mesh.num_nodes() &&
-                       demand.dst >= 0 && demand.dst < mesh.num_nodes(),
-                   "demand endpoints must be mesh nodes");
-    }
-  }
-  const std::size_t n = demands.size();
-  out.resize(n);
-  if (n == 0) return;
-
-  WallTimer timer;
-  const std::size_t workers = std::max<std::size_t>(1, pool.num_threads());
-
-  // The SoA engine only emits segment form; the node-list driver and
-  // unsupported routers (Staircase, external Router subclasses) keep the
-  // scalar per-packet loop. Both loops claim identical chunks off the
-  // same cursor and produce bit-identical output (DESIGN.md section 10).
-  bool use_soa = false;
-  if constexpr (std::is_same_v<OutT, SegmentPath>) {
-    use_soa = options.engine != BatchEngine::kScalar &&
-              SoaBatchEngine::supports(router);
-  }
-
-  // The SoA engine's pair grouping amortizes with chunk size, so its
-  // default chunks are coarser (2 per worker for load balancing); the
-  // scalar loop keeps fine chunks -- its per-packet cost dominates.
-  const std::size_t chunk =
-      options.chunk_size != 0
-          ? options.chunk_size
-          : std::max<std::size_t>(1, n / (workers * (use_soa ? 2 : 8)));
-  // Lock-free by design (DESIGN.md section 13): the cursor is the only
-  // shared mutable state in the batch loop -- every output slot and
-  // scratch buffer is owned by exactly one worker per chunk claim, so
-  // there is nothing for a mutex (or a GUARDED_BY annotation) to guard.
-  // Relaxed suffices: fetch_add's atomicity alone partitions [0, n).
-  std::atomic<std::size_t> cursor{0};
-
-  // Per-worker tallies are flushed in one registry visit per worker, into
-  // its own thread-local shard.
-  const auto flush_worker_obs = [](bool obs_on, std::size_t routed,
-                                   std::size_t chunks,
-                                   const IntHistogram& path_lengths) {
-    if (!obs_on || chunks == 0) return;
-    OBLV_COUNTER_ADD("routing.batch.chunks", chunks);
-    IntHistogram per_worker;
-    per_worker.add(static_cast<std::int64_t>(routed));
-    OBLV_HISTOGRAM_MERGE("routing.batch.packets_per_worker", per_worker);
-    OBLV_COUNTER_ADD("routing.packets", routed);
-    OBLV_HISTOGRAM_MERGE("routing.path_length", path_lengths);
-  };
-
-  const auto drain_scalar = [&]() {
-    RouteScratch scratch;
-    const bool obs_on = obs::metrics_enabled();
-    IntHistogram path_lengths;
-    std::size_t routed = 0;
-    std::size_t chunks = 0;
-    for (;;) {
-      const std::size_t begin =
-          cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      const std::size_t end = std::min(n, begin + chunk);
-      for (std::size_t i = begin; i < end; ++i) {
-        const Demand& demand = demands[i];
-        // oblv-lint: allow(D006) this IS the sanctioned scalar reference
-        // engine the SoA path is bit-compared against
-        Rng rng = packet_rng(options.seed, i);
-        route_one(router, demand, rng, scratch, out[i]);
-        check_endpoints(out[i], demand);
-        if (obs_on && path_length_sampled(i)) {
-          path_lengths.add(out[i].length(), kPathLengthSampleStride);
-        }
-      }
-      routed += end - begin;
-      ++chunks;
-    }
-    flush_worker_obs(obs_on, routed, chunks, path_lengths);
-  };
-
-  const auto drain_soa = [&]() {
-    if constexpr (std::is_same_v<OutT, SegmentPath>) {
-      // Workers are pool threads that outlive the batch, so the engine's
-      // capacity-retaining buffers amortize across batches too.
-      static thread_local SoaBatchEngine engine;
-      const bool obs_on = obs::metrics_enabled();
-      IntHistogram path_lengths;
-      std::size_t routed = 0;
-      std::size_t chunks = 0;
-      for (;;) {
-        const std::size_t begin =
-            cursor.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= n) break;
-        const std::size_t end = std::min(n, begin + chunk);
-        engine.run(router, demands, options.seed, begin, end,
-                   std::span<SegmentPath>(out),
-                   obs_on ? &path_lengths : nullptr);
-        routed += end - begin;
-        ++chunks;
-      }
-      flush_worker_obs(obs_on, routed, chunks, path_lengths);
-    }
-  };
-
-  const auto drain = [&]() {
-    if (use_soa) {
-      drain_soa();
-    } else {
-      drain_scalar();
-    }
-  };
-
-  if (workers == 1) {
-    drain();
-  } else {
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.submit(drain);
-    }
-    pool.wait_idle();
-  }
-  OBLV_STAT_RECORD("routing.route_seconds", timer.elapsed_seconds());
+               std::vector<PathT>& out) {
+  out.resize(demands.size());
+  PacketRun run;
+  run.count = demands.size();
+  run.demands = demands;
+  if constexpr (std::is_same_v<PathT, SegmentPath>) run.segments = out;
+  run.options = options;
+  StoreSink<PathT> sink{router, demands, out};
+  drive_packets(router, &pool, run, sink);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "mesh/mesh.hpp"
-#include "parallel/route_batch.hpp"
+#include "parallel/packet_driver.hpp"
 #include "routing/baselines.hpp"
 #include "routing/bounded_valiant.hpp"
 #include "routing/hierarchical.hpp"

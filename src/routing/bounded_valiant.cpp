@@ -51,26 +51,31 @@ Region BoundedValiantRouter::box_for(NodeId s, NodeId t) const {
   return Region(std::move(anchor), std::move(extent));
 }
 
+namespace {
+
+// A uniform intermediate node inside `box`, dimension order on both legs
+// without leaving the box; one body for both path forms.
+template <typename PathT>
+void bounded_route(const Mesh& mesh, const Region& box, NodeId s, NodeId t,
+                   Rng& rng, PathT& out) {
+  reset_path(s, t, out);
+  if (s == t) return;
+  const Coord mid = box.random_coord(mesh, rng);
+  const auto order1 = rng.random_permutation(mesh.dim());
+  append_one_bend(mesh, box, mesh.coord(s), mid,
+                  std::span<const int>(order1.data(), order1.size()), out);
+  const auto order2 = rng.random_permutation(mesh.dim());
+  append_one_bend(mesh, box, mid, mesh.coord(t),
+                  std::span<const int>(order2.data(), order2.size()), out);
+}
+
+}  // namespace
+
 void BoundedValiantRouter::route_into(NodeId s, NodeId t, Rng& rng,
                                       RouteScratch& /*scratch*/,
                                       Path& out) const {
   expects_route_args(s, t);
-  out.nodes.clear();
-  out.nodes.push_back(s);
-  if (s == t) return;
-  const Coord cs = mesh_->coord(s);
-  const Coord ct = mesh_->coord(t);
-  const Region box = box_for(s, t);
-  const Coord mid = box.random_coord(*mesh_, rng);
-
-  const auto order1 = rng.random_permutation(mesh_->dim());
-  append_path_in_region(*mesh_, box, cs, mid,
-                        std::span<const int>(order1.data(), order1.size()),
-                        out);
-  const auto order2 = rng.random_permutation(mesh_->dim());
-  append_path_in_region(*mesh_, box, mid, ct,
-                        std::span<const int>(order2.data(), order2.size()),
-                        out);
+  bounded_route(*mesh_, box_for(s, t), s, t, rng, out);
   ensures_route_result(s, t, out);
 }
 
@@ -78,39 +83,8 @@ void BoundedValiantRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
                                                RouteScratch& /*scratch*/,
                                                SegmentPath& out) const {
   expects_route_args(s, t);
-  out.segments.clear();
-  out.source = s;
-  out.dest = t;
-  if (s == t) return;
-  const Coord cs = mesh_->coord(s);
-  const Coord ct = mesh_->coord(t);
-  const Region box = box_for(s, t);
-  const Coord mid = box.random_coord(*mesh_, rng);
-
-  const auto order1 = rng.random_permutation(mesh_->dim());
-  append_segments_in_region(*mesh_, box, cs, mid,
-                            std::span<const int>(order1.data(), order1.size()),
-                            out);
-  const auto order2 = rng.random_permutation(mesh_->dim());
-  append_segments_in_region(*mesh_, box, mid, ct,
-                            std::span<const int>(order2.data(), order2.size()),
-                            out);
+  bounded_route(*mesh_, box_for(s, t), s, t, rng, out);
   ensures_route_result(s, t, out);
-}
-
-Path BoundedValiantRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  Path path;
-  route_into(s, t, rng, scratch, path);
-  return path;
-}
-
-SegmentPath BoundedValiantRouter::route_segments(NodeId s, NodeId t,
-                                                 Rng& rng) const {
-  RouteScratch scratch;
-  SegmentPath sp;
-  route_segments_into(s, t, rng, scratch, sp);
-  return sp;
 }
 
 }  // namespace oblivious

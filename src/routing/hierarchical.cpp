@@ -15,29 +15,6 @@ namespace oblivious {
 
 namespace {
 
-// Emission dispatch for one leg of the chain: node list or segments.
-inline void append_leg(const Mesh& mesh, const Region& region,
-                       const Coord& from, const Coord& to,
-                       std::span<const int> order, Path& out) {
-  append_path_in_region(mesh, region, from, to, order, out);
-}
-inline void append_leg(const Mesh& mesh, const Region& region,
-                       const Coord& from, const Coord& to,
-                       std::span<const int> order, SegmentPath& out) {
-  append_segments_in_region(mesh, region, from, to, order, out);
-}
-
-// Resets a caller-owned output to the empty path at s (capacity retained).
-inline void reset_path(NodeId s, NodeId /*t*/, Path& out) {
-  out.nodes.clear();
-  out.nodes.push_back(s);
-}
-inline void reset_path(NodeId s, NodeId t, SegmentPath& out) {
-  out.segments.clear();
-  out.source = s;
-  out.dest = t;
-}
-
 // Connects the waypoints of a bitonic chain into `out`. `chain` holds the
 // regions of the bitonic access-graph path (ascent over s, bridge, descent
 // over t) and `up_count` how many of them belong to the ascent; waypoint i
@@ -63,23 +40,13 @@ void connect_chain_into(const Mesh& mesh, const std::vector<Region>& chain,
     const Coord nxt = waypoint(chain[i], i);
     const Region& enclosing = (i <= up_count) ? chain[i] : chain[i - 1];
     const auto order = order_for(i);
-    append_leg(mesh, enclosing, cur, nxt,
-               std::span<const int>(order.data(), order.size()), out);
+    append_one_bend(mesh, enclosing, cur, nxt,
+                    std::span<const int>(order.data(), order.size()), out);
     cur = nxt;
   }
   const auto order = order_for(chain.size());
-  append_leg(mesh, chain.back(), cur, ct,
-             std::span<const int>(order.data(), order.size()), out);
-}
-
-inline void trivial_path_into(NodeId s, Path& out) {
-  out.nodes.clear();
-  out.nodes.push_back(s);
-}
-inline void trivial_path_into(NodeId s, SegmentPath& out) {
-  out.segments.clear();
-  out.source = s;
-  out.dest = s;
+  append_one_bend(mesh, chain.back(), cur, ct,
+                  std::span<const int>(order.data(), order.size()), out);
 }
 
 inline void count_plan_cache(bool hit) {
@@ -156,7 +123,7 @@ template <typename PathT>
 void AncestorRouter::route_into_impl(NodeId s, NodeId t, Rng& rng,
                                      RouteScratch& scratch, PathT& out) const {
   if (s == t) {
-    trivial_path_into(s, out);
+    reset_path(s, t, out);
     return;
   }
   const Coord cs = mesh_->coord(s);
@@ -192,20 +159,6 @@ void AncestorRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
   OBLV_ENSURES(hierarchy_ != Hierarchy::kAccessGraph || mesh_->dim() != 2 ||
                    contracts::validate_stretch_bound(*mesh_, out, 2),
                "Theorem 3.4: 2D access-graph stretch must be <= 64");
-}
-
-Path AncestorRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  Path p;
-  route_into(s, t, rng, scratch, p);
-  return p;
-}
-
-SegmentPath AncestorRouter::route_segments(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  SegmentPath sp;
-  route_segments_into(s, t, rng, scratch, sp);
-  return sp;
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +270,7 @@ template <typename PathT>
 void NdRouter::route_into_impl(NodeId s, NodeId t, Rng& rng,
                                RouteScratch& scratch, PathT& out) const {
   if (s == t) {
-    trivial_path_into(s, out);
+    reset_path(s, t, out);
     return;
   }
   const Coord cs = mesh_->coord(s);
@@ -387,20 +340,6 @@ void NdRouter::route_segments_into(NodeId s, NodeId t, Rng& rng,
   OBLV_ENSURES(bridge_mode_ != BridgeHeightMode::kPrescribed ||
                    contracts::validate_stretch_bound(*mesh_, out, mesh_->dim()),
                "Theorem 4.2: stretch must be <= 40 d (d+1)");
-}
-
-Path NdRouter::route(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  Path p;
-  route_into(s, t, rng, scratch, p);
-  return p;
-}
-
-SegmentPath NdRouter::route_segments(NodeId s, NodeId t, Rng& rng) const {
-  RouteScratch scratch;
-  SegmentPath sp;
-  route_segments_into(s, t, rng, scratch, sp);
-  return sp;
 }
 
 }  // namespace oblivious

@@ -51,8 +51,6 @@ class AncestorRouter final : public Router {
   AncestorRouter(const Mesh& mesh, Hierarchy hierarchy,
                  std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity);
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
   void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                   Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
@@ -113,8 +111,6 @@ class NdRouter final : public Router {
                     BridgeHeightMode bridge_mode = BridgeHeightMode::kPrescribed,
                     std::size_t plan_cache_capacity = PlanCache::kDefaultCapacity);
 
-  Path route(NodeId s, NodeId t, Rng& rng) const override;
-  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const override;
   void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
                   Path& out) const override;
   void route_segments_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,

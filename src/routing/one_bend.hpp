@@ -44,4 +44,39 @@ void append_segments_in_region(const Mesh& mesh, const Region& region,
 // Identity order {0, 1, ..., d-1}.
 SmallVec<int, 8> identity_order(int dim);
 
+// The appends above, picked by the output's type, so one routing body
+// serves both route_into and route_segments_into.
+inline void append_one_bend(const Mesh& mesh, const Coord& from,
+                            const Coord& to, std::span<const int> order,
+                            Path& out) {
+  append_dim_order_path(mesh, from, to, order, out);
+}
+inline void append_one_bend(const Mesh& mesh, const Coord& from,
+                            const Coord& to, std::span<const int> order,
+                            SegmentPath& out) {
+  append_dim_order_segments(mesh, from, to, order, out);
+}
+inline void append_one_bend(const Mesh& mesh, const Region& region,
+                            const Coord& from, const Coord& to,
+                            std::span<const int> order, Path& out) {
+  append_path_in_region(mesh, region, from, to, order, out);
+}
+inline void append_one_bend(const Mesh& mesh, const Region& region,
+                            const Coord& from, const Coord& to,
+                            std::span<const int> order, SegmentPath& out) {
+  append_segments_in_region(mesh, region, from, to, order, out);
+}
+
+// Resets a caller-owned output to the empty path from s to t (capacity
+// retained).
+inline void reset_path(NodeId s, NodeId /*t*/, Path& out) {
+  out.nodes.clear();
+  out.nodes.push_back(s);
+}
+inline void reset_path(NodeId s, NodeId t, SegmentPath& out) {
+  out.segments.clear();
+  out.source = s;
+  out.dest = t;
+}
+
 }  // namespace oblivious

@@ -1,17 +1,17 @@
 // Reusable per-caller buffers for the zero-allocation routing fast path.
 //
-// The allocating `Router::route` / `route_segments` APIs build a fresh
-// chain vector and output container per packet; at millions of packets per
-// second those mallocs dominate. `route_into` / `route_segments_into`
-// instead thread a RouteScratch through every call: the chain buffer and
-// the output path keep their heap capacity between packets, so after a
-// short warm-up the steady state performs zero heap allocations per packet
-// (proved by tests/alloc_count_test.cpp).
+// Building a fresh chain vector and output container per packet (what the
+// `Router::route` / `route_segments` conveniences do) costs mallocs that
+// dominate at millions of packets per second. `route_into` /
+// `route_segments_into` instead thread a RouteScratch through every call:
+// the chain buffer and the output path keep their heap capacity between
+// packets, so after a short warm-up the steady state performs zero heap
+// allocations per packet (proved by tests/alloc_count_test.cpp).
 //
 // A RouteScratch is NOT thread-safe; give each thread its own (that is
-// what route_batch does). Waypoints, dimension orders, and coordinates
-// need no scratch fields: they live in SmallVec inline storage for every
-// mesh dimension the paper considers (d <= 8).
+// what the packet driver does). Waypoints, dimension orders, and
+// coordinates need no scratch fields: they live in SmallVec inline storage
+// for every mesh dimension the paper considers (d <= 8).
 #pragma once
 
 #include <vector>

@@ -5,17 +5,15 @@
 // (Section 1). Implementations must therefore be callable independently
 // per packet, which also makes them trivially parallel.
 //
-// Every router offers two equivalent emission modes: `route` returns the
-// full node list, `route_segments` returns the compact segment form
-// (source + maximal axis-aligned runs). The two draw randomness in the
-// same order, so with equal rng state they describe the same path; the
-// measurement pipeline consumes segments, the simulator consumes nodes.
-//
-// Each mode additionally has a zero-allocation twin -- `route_into` /
-// `route_segments_into` -- that fills a caller-owned output (capacity
-// retained across packets) and threads a RouteScratch for intermediate
-// buffers. The twins are draw-for-draw identical to the allocating APIs:
-// same rng consumption, byte-identical result (DESIGN.md section 8).
+// A router implements two entry points: `route_into` emits the full node
+// list, `route_segments_into` the compact segment form (source + maximal
+// axis-aligned runs). Both fill a caller-owned output (capacity retained
+// across packets) and thread a RouteScratch for intermediate buffers, so
+// the steady state allocates nothing (DESIGN.md section 8). The two draw
+// randomness in the same order, so with equal rng state they describe
+// the same path; the measurement pipeline consumes segments, the
+// simulator consumes nodes. `route` / `route_segments` are allocating
+// conveniences over them, identical by construction.
 #pragma once
 
 #include <memory>
@@ -39,40 +37,37 @@ class Router {
 
   const Mesh& mesh() const { return *mesh_; }
 
-  // Selects a path from s to t. The same (s, t, rng state) always yields
-  // the same path; randomized routers draw all their randomness from `rng`
-  // so that attaching a BitMeter measures their per-packet bit consumption.
+  // Selects a path from s to t into `out` (clearing its previous content
+  // but keeping its heap capacity), using `scratch` for intermediate
+  // state. The same (s, t, rng state) always yields the same path;
+  // randomized routers draw all their randomness from `rng` so that
+  // attaching a BitMeter measures their per-packet bit consumption.
   // \pre s and t are node ids of this router's mesh.
-  // \post the returned path is a valid mesh path from s to t.
-  virtual Path route(NodeId s, NodeId t, Rng& rng) const = 0;
-
-  // Same path, compact form, without materializing the node list. The
-  // default derives it from `route`; hot routers override it to emit
-  // segments natively (O(#segments) instead of O(path length)).
-  virtual SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const {
-    return segments_from_path(*mesh_, route(s, t, rng));
-  }
-
-  // Zero-allocation twin of `route`: fills `out` in place (clearing its
-  // previous content but keeping its heap capacity), using `scratch` for
-  // intermediate state. Must consume the identical rng stream and produce
-  // the identical path as `route`. The default delegates to the
-  // allocating API; every in-tree router overrides it natively and turns
-  // `route` into a thin wrapper over this.
-  // \pre s and t are node ids of this router's mesh.
+  // \post `out` is a valid mesh path from s to t.
   virtual void route_into(NodeId s, NodeId t, Rng& rng, RouteScratch& scratch,
-                          Path& out) const {
-    (void)scratch;
-    out = route(s, t, rng);
-  }
+                          Path& out) const = 0;
 
-  // Zero-allocation twin of `route_segments`; same contract as route_into.
+  // Same path, compact form, without materializing the node list
+  // (O(#segments) instead of O(path length)); same contract as route_into.
   // \pre s and t are node ids of this router's mesh.
   virtual void route_segments_into(NodeId s, NodeId t, Rng& rng,
                                    RouteScratch& scratch,
-                                   SegmentPath& out) const {
-    (void)scratch;
-    out = route_segments(s, t, rng);
+                                   SegmentPath& out) const = 0;
+
+  // Allocating conveniences: route_into / route_segments_into with a
+  // fresh scratch and output.
+  // \pre s and t are node ids of this router's mesh.
+  Path route(NodeId s, NodeId t, Rng& rng) const {
+    RouteScratch scratch;
+    Path out;
+    route_into(s, t, rng, scratch, out);
+    return out;
+  }
+  SegmentPath route_segments(NodeId s, NodeId t, Rng& rng) const {
+    RouteScratch scratch;
+    SegmentPath out;
+    route_segments_into(s, t, rng, scratch, out);
+    return out;
   }
 
   virtual std::string name() const = 0;
@@ -103,5 +98,15 @@ class Router {
 
   const Mesh* mesh_;
 };
+
+// route_into or route_segments_into, picked by the output's type.
+inline void route_to(const Router& router, NodeId s, NodeId t, Rng& rng,
+                     RouteScratch& scratch, Path& out) {
+  router.route_into(s, t, rng, scratch, out);
+}
+inline void route_to(const Router& router, NodeId s, NodeId t, Rng& rng,
+                     RouteScratch& scratch, SegmentPath& out) {
+  router.route_segments_into(s, t, rng, scratch, out);
+}
 
 }  // namespace oblivious

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/evaluate.hpp"
+#include "parallel/route_batch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "routing/registry.hpp"
 #include "workloads/generators.hpp"
@@ -8,12 +9,24 @@
 namespace oblivious {
 namespace {
 
+// Routes every demand of `problem` (node lists) through the batch driver.
+std::vector<Path> route_paths(const Router& router,
+                              const RoutingProblem& problem, ThreadPool& pool,
+                              std::uint64_t seed) {
+  RouteBatchOptions options;
+  options.seed = seed;
+  std::vector<Path> paths;
+  route_batch_paths(router, problem.demands, pool, options, paths);
+  return paths;
+}
+
 TEST(RouteAll, OnePathPerDemandWithMatchingEndpoints) {
   const Mesh m({16, 16});
   const auto router = make_router(Algorithm::kHierarchical2d, m);
   Rng rng(1);
   const RoutingProblem problem = random_permutation(m, rng);
-  const std::vector<Path> paths = route_all(m, *router, problem, {});
+  ThreadPool pool(1);
+  const std::vector<Path> paths = route_paths(*router, problem, pool, 1);
   ASSERT_EQ(paths.size(), problem.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     EXPECT_EQ(paths[i].source(), problem.demands[i].src);
@@ -25,14 +38,12 @@ TEST(RouteAll, SeedReproducibility) {
   const Mesh m({16, 16});
   const auto router = make_router(Algorithm::kValiant, m);
   const RoutingProblem problem = transpose(m);
-  RouteAllOptions options;
-  options.seed = 42;
-  const auto a = route_all(m, *router, problem, options);
-  const auto b = route_all(m, *router, problem, options);
+  ThreadPool pool(1);
+  const auto a = route_paths(*router, problem, pool, 42);
+  const auto b = route_paths(*router, problem, pool, 42);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].nodes, b[i].nodes);
-  options.seed = 43;
-  const auto c = route_all(m, *router, problem, options);
+  const auto c = route_paths(*router, problem, pool, 43);
   bool any_different = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     any_different = any_different || a[i].nodes != c[i].nodes;
@@ -40,35 +51,48 @@ TEST(RouteAll, SeedReproducibility) {
   EXPECT_TRUE(any_different);
 }
 
+// evaluate's erase_cycles option measures exactly the loop-erased paths:
+// shorter or equal, simple, same endpoints, and no extra congestion.
 TEST(RouteAll, CycleErasureShortensWithoutChangingEndpoints) {
   const Mesh m({16, 16});
   const auto router = make_router(Algorithm::kValiant, m);
   const RoutingProblem problem = transpose(m);
-  RouteAllOptions plain;
-  RouteAllOptions erased;
-  erased.erase_cycles = true;
-  const auto a = route_all(m, *router, problem, plain);
-  const auto b = route_all(m, *router, problem, erased);
+  ThreadPool pool(1);
+  const auto a = route_paths(*router, problem, pool, 1);
+  std::vector<SegmentPath> erased;
   std::int64_t total_a = 0;
   std::int64_t total_b = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
+    const Path b = remove_cycles(a[i]);
     total_a += a[i].length();
-    total_b += b[i].length();
-    EXPECT_EQ(b[i].source(), a[i].source());
-    EXPECT_EQ(b[i].destination(), a[i].destination());
-    EXPECT_TRUE(is_simple_path(b[i]));
+    total_b += b.length();
+    EXPECT_EQ(b.source(), a[i].source());
+    EXPECT_EQ(b.destination(), a[i].destination());
+    EXPECT_TRUE(is_simple_path(b));
+    erased.push_back(segments_from_path(m, b));
   }
   EXPECT_LE(total_b, total_a);
+
+  RouteAllOptions options;
+  options.erase_cycles = true;
+  const RouteSetMetrics measured = evaluate(m, *router, problem, options);
+  const RouteSetMetrics expected = measure_segment_paths(
+      m, problem, erased, best_lower_bound(m, problem));
+  EXPECT_EQ(measured.congestion, expected.congestion);
+  EXPECT_EQ(measured.dilation, expected.dilation);
+  EXPECT_EQ(measured.mean_stretch, expected.mean_stretch);
+  options.erase_cycles = false;
+  EXPECT_LE(measured.congestion,
+            evaluate(m, *router, problem, options).congestion);
 }
 
 TEST(RouteAll, BitStatsCollected) {
   const Mesh m({16, 16});
   const auto router = make_router(Algorithm::kHierarchicalNdFrugal, m);
   const RoutingProblem problem = transpose(m);
-  RunningStats bits;
-  (void)route_all(m, *router, problem, {}, &bits);
-  EXPECT_EQ(bits.count(), problem.size());
-  EXPECT_GT(bits.mean(), 0.0);
+  const RouteSetMetrics metrics = evaluate(m, *router, problem);
+  EXPECT_EQ(metrics.bits_per_packet.count(), problem.size());
+  EXPECT_GT(metrics.bits_per_packet.mean(), 0.0);
 }
 
 TEST(RouteAllParallel, MatchesAcrossThreadCounts) {
@@ -79,8 +103,8 @@ TEST(RouteAllParallel, MatchesAcrossThreadCounts) {
   const RoutingProblem problem = transpose(m);
   ThreadPool serial(1);
   ThreadPool wide(4);
-  const auto a = route_all_parallel(m, *router, problem, serial, 99);
-  const auto b = route_all_parallel(m, *router, problem, wide, 99);
+  const auto a = route_paths(*router, problem, serial, 99);
+  const auto b = route_paths(*router, problem, wide, 99);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].nodes, b[i].nodes) << i;
@@ -92,8 +116,8 @@ TEST(RouteAllParallel, ValidPathsAndSeedSensitivity) {
   const auto router = make_router(Algorithm::kValiant, m);
   const RoutingProblem problem = transpose(m);
   ThreadPool pool(2);
-  const auto a = route_all_parallel(m, *router, problem, pool, 1);
-  const auto b = route_all_parallel(m, *router, problem, pool, 2);
+  const auto a = route_paths(*router, problem, pool, 1);
+  const auto b = route_paths(*router, problem, pool, 2);
   bool any_different = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(is_valid_path(m, a[i]));
@@ -147,8 +171,9 @@ TEST(Evaluate, RejectsMismatchedPathCount) {
   const Mesh m({16, 16});
   RoutingProblem problem;
   problem.demands = {{0, 1}, {1, 2}};
-  const std::vector<Path> one_path(1);
-  EXPECT_THROW(measure_paths(m, problem, one_path, 1.0), std::invalid_argument);
+  const std::vector<SegmentPath> one_path(1);
+  EXPECT_THROW(measure_segment_paths(m, problem, one_path, 1.0),
+               std::invalid_argument);
 }
 
 }  // namespace

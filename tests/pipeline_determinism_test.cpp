@@ -1,7 +1,7 @@
 // Determinism of the parallel segment pipeline: per-packet rng streams are
 // derived from (seed, packet index) only, so the selected paths -- and
 // every reported metric -- must be byte-identical for any thread count.
-// Also pins evaluate_trials to its node-based reference semantics.
+// Also pins evaluate_trials to a node-based reference.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,6 +10,7 @@
 #include "analysis/evaluate.hpp"
 #include "analysis/trials.hpp"
 #include "core/oblivious_routing.hpp"
+#include "parallel/route_batch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "routing/registry.hpp"
 #include "test_support.hpp"
@@ -27,12 +28,12 @@ TEST(PipelineDeterminism, SegmentRoutingIdenticalAcrossThreadCounts) {
     ThreadPool pool1(1);
     ThreadPool pool2(2);
     ThreadPool pool8(8);
-    const auto paths1 =
-        route_all_segments_parallel(mesh, *router, problem, pool1, 42);
-    const auto paths2 =
-        route_all_segments_parallel(mesh, *router, problem, pool2, 42);
-    const auto paths8 =
-        route_all_segments_parallel(mesh, *router, problem, pool8, 42);
+    RouteBatchOptions options;
+    options.seed = 42;
+    std::vector<SegmentPath> paths1, paths2, paths8;
+    route_batch(*router, problem.demands, pool1, options, paths1);
+    route_batch(*router, problem.demands, pool2, options, paths2);
+    route_batch(*router, problem.demands, pool8, options, paths8);
     ASSERT_EQ(paths1.size(), problem.size());
     EXPECT_EQ(paths1, paths2) << router->name();
     EXPECT_EQ(paths1, paths8) << router->name();
@@ -47,10 +48,12 @@ TEST(PipelineDeterminism, SegmentPipelineMatchesNodeListPipeline) {
   const RoutingProblem problem = random_permutation(mesh, wl_rng);
   const auto router = make_router(Algorithm::kHierarchical2d, mesh);
   ThreadPool pool(2);
-  const std::vector<Path> node_paths =
-      route_all_parallel(mesh, *router, problem, pool, 77);
-  const std::vector<SegmentPath> seg_paths =
-      route_all_segments_parallel(mesh, *router, problem, pool, 77);
+  RouteBatchOptions options;
+  options.seed = 77;
+  std::vector<Path> node_paths;
+  route_batch_paths(*router, problem.demands, pool, options, node_paths);
+  std::vector<SegmentPath> seg_paths;
+  route_batch(*router, problem.demands, pool, options, seg_paths);
   ASSERT_EQ(node_paths.size(), seg_paths.size());
   for (std::size_t i = 0; i < node_paths.size(); ++i) {
     EXPECT_EQ(path_from_segments(mesh, seg_paths[i]).nodes,
@@ -67,7 +70,7 @@ TEST(PipelineDeterminism, RouteAndMeasureMetricsThreadCountInvariant) {
   ThreadPool pool8(8);
   std::vector<SegmentPath> paths;
   const RouteSetMetrics m1 = route_and_measure_parallel(
-      mesh, *router, problem, bound, pool1, 9, &paths);
+      mesh, *router, problem, bound, pool1, 9, {}, &paths);
   const RouteSetMetrics m8 =
       route_and_measure_parallel(mesh, *router, problem, bound, pool8, 9);
   EXPECT_EQ(m1.congestion, m8.congestion);
@@ -83,31 +86,9 @@ TEST(PipelineDeterminism, RouteAndMeasureMetricsThreadCountInvariant) {
   EXPECT_DOUBLE_EQ(again.mean_stretch, m1.mean_stretch);
 }
 
-// measure_segment_paths must agree with measure_paths on the same routes.
-TEST(PipelineDeterminism, MeasureSegmentPathsMatchesMeasurePaths) {
-  const Mesh mesh = Mesh::cube(3, 8);
-  const RoutingProblem problem = tornado(mesh);
-  const auto router = make_router(Algorithm::kBoundedValiant, mesh);
-  RouteAllOptions options;
-  options.seed = 13;
-  const std::vector<Path> node_paths = route_all(mesh, *router, problem, options);
-  const std::vector<SegmentPath> seg_paths =
-      route_all_segments(mesh, *router, problem, options);
-  const double bound = best_lower_bound(mesh, problem);
-  const RouteSetMetrics a = measure_paths(mesh, problem, node_paths, bound);
-  const RouteSetMetrics b =
-      measure_segment_paths(mesh, problem, seg_paths, bound);
-  EXPECT_EQ(a.congestion, b.congestion);
-  EXPECT_EQ(a.dilation, b.dilation);
-  EXPECT_DOUBLE_EQ(a.max_stretch, b.max_stretch);
-  EXPECT_DOUBLE_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.max_distance, b.max_distance);
-}
-
-// evaluate_trials now runs on the segment pipeline internally; its numbers
-// must still match a hand-written node-based reference loop on the same
-// seeds, for every registered algorithm.
+// evaluate_trials runs on the segment pipeline internally; its numbers
+// must match a node-based reference built from route_batch_paths on the
+// same seeds (base_seed + t for trial t), for every registered algorithm.
 TEST(PipelineDeterminism, EvaluateTrialsMatchesNodeBasedReference) {
   const Mesh mesh = Mesh::cube(2, 8);
   const RoutingProblem problem = transpose(mesh);
@@ -121,12 +102,12 @@ TEST(PipelineDeterminism, EvaluateTrialsMatchesNodeBasedReference) {
     RunningStats ref_congestion;
     std::vector<double> edge_sums(static_cast<std::size_t>(mesh.num_edges()),
                                   0.0);
+    ThreadPool pool(1);
     for (int t = 0; t < trials; ++t) {
-      RouteAllOptions options;
+      RouteBatchOptions options;
       options.seed = base_seed + static_cast<std::uint64_t>(t);
-      options.meter_bits = false;
-      const std::vector<Path> paths =
-          route_all(mesh, *router, problem, options);
+      std::vector<Path> paths;
+      route_batch_paths(*router, problem.demands, pool, options, paths);
       EdgeLoadMap loads(mesh);
       loads.add_paths(paths);
       ref_congestion.add(static_cast<double>(loads.max_load()));

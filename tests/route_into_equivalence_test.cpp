@@ -1,9 +1,9 @@
-// Draw-for-draw equivalence of the zero-allocation routing entry points:
-// for every registered algorithm, route_into / route_segments_into must
-// select byte-identical paths AND consume exactly the same rng stream as
-// the allocating route / route_segments twins -- the rng-stream
-// compatibility invariant of DESIGN.md section 8. Also pins plan-cache
-// correctness: warm hits and evicted-and-rebuilt plans never change paths.
+// Draw-for-draw equivalence of the two routing entry points: for every
+// registered algorithm, route_into (node list) and route_segments_into
+// (segments) must select the same path AND consume exactly the same rng
+// stream -- the rng-stream compatibility invariant of DESIGN.md section
+// 8. Also pins scratch and plan-cache correctness: a dirty scratch, warm
+// hits, and evicted-and-rebuilt plans never change paths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -42,41 +42,23 @@ void expect_same_stream(Rng& a, Rng& b, const std::string& context) {
   EXPECT_EQ(a.next_u64(), b.next_u64()) << context << ": rng streams diverged";
 }
 
-TEST(RouteIntoEquivalence, PathsAndStreamsMatchAllocatingApi) {
+TEST(RouteIntoEquivalence, NodeAndSegmentFormsMatch) {
   for (const MeshCase& mc : mesh_cases()) {
     const Mesh mesh = Mesh::cube(mc.dim, mc.side, mc.torus);
     const auto pairs = testing::sample_pairs(mesh, 64, 7);
     for (const Algorithm algo : algorithms_for(mesh)) {
       const auto router = make_router(algo, mesh);
       RouteScratch scratch;
-      Rng rng_alloc(11);
-      Rng rng_into(11);
-      Path into_path;
+      Rng rng_nodes(11);
+      Rng rng_segments(11);
+      Path nodes;
+      SegmentPath segments;
       for (const auto& [s, t] : pairs) {
-        const Path ref = router->route(s, t, rng_alloc);
-        router->route_into(s, t, rng_into, scratch, into_path);
-        EXPECT_EQ(ref.nodes, into_path.nodes) << router->name();
-        expect_same_stream(rng_alloc, rng_into, router->name());
-      }
-    }
-  }
-}
-
-TEST(RouteIntoEquivalence, SegmentsAndStreamsMatchAllocatingApi) {
-  for (const MeshCase& mc : mesh_cases()) {
-    const Mesh mesh = Mesh::cube(mc.dim, mc.side, mc.torus);
-    const auto pairs = testing::sample_pairs(mesh, 64, 19);
-    for (const Algorithm algo : algorithms_for(mesh)) {
-      const auto router = make_router(algo, mesh);
-      RouteScratch scratch;
-      Rng rng_alloc(23);
-      Rng rng_into(23);
-      SegmentPath into_sp;
-      for (const auto& [s, t] : pairs) {
-        const SegmentPath ref = router->route_segments(s, t, rng_alloc);
-        router->route_segments_into(s, t, rng_into, scratch, into_sp);
-        EXPECT_EQ(ref, into_sp) << router->name();
-        expect_same_stream(rng_alloc, rng_into, router->name());
+        router->route_into(s, t, rng_nodes, scratch, nodes);
+        router->route_segments_into(s, t, rng_segments, scratch, segments);
+        EXPECT_EQ(path_from_segments(mesh, segments).nodes, nodes.nodes)
+            << router->name();
+        expect_same_stream(rng_nodes, rng_segments, router->name());
       }
     }
   }
@@ -89,20 +71,18 @@ TEST(RouteIntoEquivalence, SelfDemandsMatch) {
   for (const Algorithm algo : algorithms_for(mesh)) {
     const auto router = make_router(algo, mesh);
     RouteScratch scratch;
-    Rng rng_alloc(3);
-    Rng rng_into(3);
-    Path into_path;
-    SegmentPath into_sp;
+    Rng rng_nodes(3);
+    Rng rng_segments(3);
+    Path nodes;
+    SegmentPath segments;
     const NodeId n = mesh.num_nodes() / 2;
-    EXPECT_EQ(router->route(n, n, rng_alloc).nodes,
-              (router->route_into(n, n, rng_into, scratch, into_path),
-               into_path.nodes))
+    router->route_into(n, n, rng_nodes, scratch, nodes);
+    router->route_segments_into(n, n, rng_segments, scratch, segments);
+    EXPECT_EQ(nodes.source(), n) << router->name();
+    EXPECT_EQ(nodes.destination(), n) << router->name();
+    EXPECT_EQ(path_from_segments(mesh, segments).nodes, nodes.nodes)
         << router->name();
-    EXPECT_EQ(router->route_segments(n, n, rng_alloc),
-              (router->route_segments_into(n, n, rng_into, scratch, into_sp),
-               into_sp))
-        << router->name();
-    expect_same_stream(rng_alloc, rng_into, router->name());
+    expect_same_stream(rng_nodes, rng_segments, router->name());
   }
 }
 
