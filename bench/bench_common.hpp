@@ -9,6 +9,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -26,14 +29,33 @@ inline std::string& bench_id() {
 }
 }  // namespace detail
 
-// Writes the standard {"schema", "bench", "metrics"} envelope to the path
+// The envelope labels of a bench report: the bench id and the host it
+// ran on -- its hardware thread count and whether this binary is an
+// optimized NDEBUG build ("Release") or not ("Debug") -- so a recorded
+// speed claim carries the conditions it was measured under.
+inline std::vector<std::pair<std::string, std::string>> metrics_labels(
+    const std::string& id) {
+#if defined(__OPTIMIZE__) && defined(NDEBUG)
+  const char* build_type = "Release";
+#else
+  const char* build_type = "Debug";
+#endif
+  const unsigned cores = std::thread::hardware_concurrency();
+  return {
+      {"bench", id},
+      {"hardware_concurrency", std::to_string(cores)},
+      {"build_type", build_type},
+  };
+}
+
+// Writes the standard {"schema", labels, "metrics"} envelope to the path
 // named by the OBLV_METRICS_JSON environment variable. No-op when the
 // variable is unset, so every bench binary can call this unconditionally.
 inline void emit_metrics_json(const std::string& id) {
   const char* path = std::getenv("OBLV_METRICS_JSON");
   if (path == nullptr || *path == '\0') return;
   try {
-    obs::write_metrics_json_file(path, {{"bench", id}},
+    obs::write_metrics_json_file(path, metrics_labels(id),
                                  obs::MetricsRegistry::global().snapshot());
   } catch (const std::exception& e) {
     std::cerr << "metrics export failed: " << e.what() << "\n";

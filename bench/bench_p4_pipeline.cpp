@@ -12,9 +12,11 @@
 // the node list. The `parallel` variant adds deterministic per-packet rng
 // streams + sharded accumulators on a thread pool.
 //
-// Record with:
-//   bench/bench_p4_pipeline --benchmark_out=BENCH_p4.json
-//       --benchmark_out_format=json
+// Every arm also records its packets/s as the gauge
+// p4.<arm>.<algorithm>.packets_per_sec, so the oblv-metrics-v1 report
+// carries the whole table. Record with:
+//   OBLV_METRICS_JSON=BENCH_p4.json bench/bench_p4_pipeline
+//       --benchmark_min_time=2
 #include <benchmark/benchmark.h>
 
 #include "analysis/congestion.hpp"
@@ -52,8 +54,33 @@ const RoutingProblem& problem_100k() {
   return problem;
 }
 
+// Times the benchmark loop of one arm and records its packets/s; the
+// last (longest) run of the arm is the one that stays in the gauge.
+class ArmRate {
+ public:
+  ArmRate(benchmark::State& state, const char* arm, Algorithm algorithm)
+      : state_(state),
+        name_(std::string("p4.") + arm + "." + algorithm_name(algorithm) +
+              ".packets_per_sec") {}
+  ~ArmRate() {
+    const double seconds = timer_.elapsed_seconds();
+    const auto packets = static_cast<double>(state_.iterations()) *
+                         static_cast<double>(kPackets);
+    state_.SetItemsProcessed(static_cast<std::int64_t>(packets));
+    if (seconds > 0.0) {
+      obs::MetricsRegistry::global().gauge(name_).set(packets / seconds);
+    }
+  }
+
+ private:
+  benchmark::State& state_;
+  std::string name_;
+  WallTimer timer_;
+};
+
 void pipeline_nodelist(benchmark::State& state, Algorithm algorithm) {
   const auto router = make_router(algorithm, mesh_64());
+  const ArmRate rate(state, "nodelist", algorithm);
   for (auto _ : state) {
     Rng rng(1);
     EdgeLoadMap loads(mesh_64());
@@ -62,12 +89,11 @@ void pipeline_nodelist(benchmark::State& state, Algorithm algorithm) {
     }
     benchmark::DoNotOptimize(loads.max_load());
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kPackets));
 }
 
 void pipeline_segments(benchmark::State& state, Algorithm algorithm) {
   const auto router = make_router(algorithm, mesh_64());
+  const ArmRate rate(state, "segments", algorithm);
   for (auto _ : state) {
     Rng rng(1);
     EdgeLoadMap loads(mesh_64());
@@ -76,20 +102,17 @@ void pipeline_segments(benchmark::State& state, Algorithm algorithm) {
     }
     benchmark::DoNotOptimize(loads.max_load());
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kPackets));
 }
 
 void pipeline_parallel(benchmark::State& state, Algorithm algorithm) {
   const auto router = make_router(algorithm, mesh_64());
   ThreadPool pool;  // hardware concurrency
+  const ArmRate rate(state, "parallel", algorithm);
   for (auto _ : state) {
     const RouteSetMetrics m = route_and_measure_parallel(
         mesh_64(), *router, problem_100k(), /*lower_bound=*/1.0, pool, 1);
     benchmark::DoNotOptimize(m.congestion);
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kPackets));
 }
 
 }  // namespace

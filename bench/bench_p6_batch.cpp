@@ -174,6 +174,7 @@ void report_config(const std::string& tag, const Router& cold_router,
   gauge("scratch_vs_alloc_ratio", cold_best / alloc_best);
   gauge("warm_vs_alloc_ratio", warm_best / alloc_best);
   gauge("plan_cache_hit_rate", hit_rate);
+  gauge("plan_cache_bytes", static_cast<double>(warm_cache.memory_bytes()));
 
   // Thread sweep through the batch driver (warm router). Recorded, not
   // gated: smoke runners have two cores.
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
   std::cout << "checksum: " << checksum << "\n";
   if (flags.has("metrics-json")) {
     obs::write_metrics_json_file(flags.get("metrics-json", ""),
-                                 {{"bench", "bench_p6_batch"}},
+                                 bench::metrics_labels("bench_p6_batch"),
                                  obs::MetricsRegistry::global().snapshot());
   }
   bench::emit_metrics_json("bench_p6_batch");

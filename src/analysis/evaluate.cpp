@@ -62,9 +62,11 @@ RouteSetMetrics path_set_metrics(const Mesh& mesh,
 
 // The measuring sink shared by evaluate and route_and_measure_parallel:
 // stores packet i's segment path in paths[i], and once a block is routed
-// charges its packets in index order to the worker's accounting shard.
-// Optionally erases each path's cycles and meters its random bits, which
-// keeps the run on the scalar loop.
+// charges its packets in index order to the worker's accounting shard. In
+// a grouped run the blocks come in a round of their own after routing,
+// so a worker's shard is set up (clone_empty) only there. Optionally
+// erases each path's cycles and meters its random bits, which keeps the
+// run on the per-packet block loop.
 struct MeasureSink {
   const Mesh& mesh;
   const Router& router;

@@ -181,17 +181,28 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   return *cell;
 }
 
-void MetricsRegistry::record_stat(const std::string& name, double value) {
-  Shard& shard = local_shard();
-  oblv::MutexLock lock(shard.mu);
-  shard.stats[name].add(value);
+namespace {
+
+RunningStats& stat_entry(std::map<std::string, RunningStats, std::less<>>& stats,
+                         std::string_view name) {
+  const auto it = stats.find(name);
+  if (it != stats.end()) return it->second;
+  return stats.emplace(std::string(name), RunningStats{}).first->second;
 }
 
-void MetricsRegistry::merge_stat(const std::string& name,
+}  // namespace
+
+void MetricsRegistry::record_stat(std::string_view name, double value) {
+  Shard& shard = local_shard();
+  oblv::MutexLock lock(shard.mu);
+  stat_entry(shard.stats, name).add(value);
+}
+
+void MetricsRegistry::merge_stat(std::string_view name,
                                  const RunningStats& stats) {
   Shard& shard = local_shard();
   oblv::MutexLock lock(shard.mu);
-  shard.stats[name].merge(stats);
+  stat_entry(shard.stats, name).merge(stats);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

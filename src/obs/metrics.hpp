@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -163,8 +164,10 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name);
 
   // Timer-stat ingestion (RunningStats per name, merged across shards).
-  void record_stat(const std::string& name, double value);
-  void merge_stat(const std::string& name, const RunningStats& stats);
+  // A name already present in the thread's shard is found without
+  // building a std::string, so a warm record allocates nothing.
+  void record_stat(std::string_view name, double value);
+  void merge_stat(std::string_view name, const RunningStats& stats);
 
   // Merges every shard by name into one consistent view.
   MetricsSnapshot snapshot() const OBLV_EXCLUDES(shards_mu_);
@@ -179,7 +182,8 @@ class MetricsRegistry {
     std::map<std::string, std::unique_ptr<Gauge>> gauges OBLV_GUARDED_BY(mu);
     std::map<std::string, std::unique_ptr<Histogram>> histograms
         OBLV_GUARDED_BY(mu);
-    std::map<std::string, RunningStats> stats OBLV_GUARDED_BY(mu);
+    std::map<std::string, RunningStats, std::less<>> stats
+        OBLV_GUARDED_BY(mu);
   };
 
   Shard& local_shard() OBLV_EXCLUDES(shards_mu_);

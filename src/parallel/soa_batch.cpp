@@ -14,46 +14,7 @@ namespace oblivious {
 
 namespace {
 
-enum class Kind {
-  kUnsupported,
-  kEcube,
-  kRandomDimOrder,
-  kValiant,
-  kBoundedValiant,
-  kHierarchical,  // AncestorRouter, or NdRouter with naive randomness
-  kNdFrugal,
-};
-
-struct RouterView {
-  Kind kind = Kind::kUnsupported;
-  const AncestorRouter* ancestor = nullptr;
-  const NdRouter* nd = nullptr;
-  const BoundedValiantRouter* bounded = nullptr;
-};
-
-RouterView view_of(const Router& router) {
-  RouterView v;
-  if (dynamic_cast<const DimensionOrderRouter*>(&router) != nullptr) {
-    v.kind = Kind::kEcube;
-  } else if (dynamic_cast<const RandomDimOrderRouter*>(&router) != nullptr) {
-    v.kind = Kind::kRandomDimOrder;
-  } else if (dynamic_cast<const ValiantRouter*>(&router) != nullptr) {
-    v.kind = Kind::kValiant;
-  } else if (const auto* b =
-                 dynamic_cast<const BoundedValiantRouter*>(&router)) {
-    v.kind = Kind::kBoundedValiant;
-    v.bounded = b;
-  } else if (const auto* a = dynamic_cast<const AncestorRouter*>(&router)) {
-    v.kind = Kind::kHierarchical;
-    v.ancestor = a;
-  } else if (const auto* n = dynamic_cast<const NdRouter*>(&router)) {
-    v.kind = n->randomness_mode() == NdRouter::RandomnessMode::kFrugal
-                 ? Kind::kNdFrugal
-                 : Kind::kHierarchical;
-    v.nd = n;
-  }
-  return v;
-}
+using Kind = SoaBatchEngine::Kernel::Kind;
 
 inline void reset_out(NodeId s, NodeId t, SegmentPath& out) {
   out.segments.clear();
@@ -98,8 +59,28 @@ constexpr int kPerm3[6][3] = {{1, 2, 0}, {2, 1, 0}, {2, 0, 1},
 
 }  // namespace
 
-bool SoaBatchEngine::supports(const Router& router) {
-  return view_of(router).kind != Kind::kUnsupported;
+SoaBatchEngine::Kernel SoaBatchEngine::kernel_for(const Router& router) {
+  Kernel k;
+  k.router = &router;
+  if (dynamic_cast<const DimensionOrderRouter*>(&router) != nullptr) {
+    k.kind = Kind::kEcube;
+  } else if (dynamic_cast<const RandomDimOrderRouter*>(&router) != nullptr) {
+    k.kind = Kind::kRandomDimOrder;
+  } else if (dynamic_cast<const ValiantRouter*>(&router) != nullptr) {
+    k.kind = Kind::kValiant;
+  } else if (const auto* b =
+                 dynamic_cast<const BoundedValiantRouter*>(&router)) {
+    k.kind = Kind::kBoundedValiant;
+    k.bounded = b;
+  } else if (const auto* a = dynamic_cast<const AncestorRouter*>(&router)) {
+    k.kind = Kind::kHierarchical;
+    k.ancestor = a;
+  } else if (const auto* n = dynamic_cast<const NdRouter*>(&router)) {
+    const bool frugal = n->randomness_mode() == NdRouter::RandomnessMode::kFrugal;
+    k.kind = frugal ? Kind::kNdFrugal : Kind::kHierarchical;
+    k.nd = n;
+  }
+  return k;
 }
 
 void SoaBatchEngine::push_uniform(std::uint64_t bound) {
@@ -700,111 +681,59 @@ void SoaBatchEngine::run_frugal(const Mesh& mesh, NodeId s, NodeId t,
   }
 }
 
-void SoaBatchEngine::run(const Router& router, std::span<const Demand> demands,
-                         std::uint64_t seed, std::size_t begin,
-                         std::size_t end, std::span<SegmentPath> out,
+void SoaBatchEngine::run(const Kernel& kernel, const Demand& pair,
+                         std::span<const std::uint64_t> packets,
+                         std::uint64_t seed, std::span<SegmentPath> out,
                          IntHistogram* path_lengths) {
-  const RouterView rv = view_of(router);
-  OBLV_CHECK(rv.kind != Kind::kUnsupported,
+  OBLV_CHECK(kernel.supported(),
              "SoA engine invoked for an unsupported router");
-  const Mesh& mesh = router.mesh();
-  const std::size_t n = end - begin;
-  if (n == 0) return;
-
-  // Counting sort of the chunk's packets into (s, t) groups through a
-  // reusable open-addressing table: pair key -> dense group id, then a
-  // prefix-sum scatter that keeps each group's packets in index order.
-  std::size_t table = 16;
-  while (table < 2 * n) table <<= 1;
-  slot_key_.assign(table, 0);
-  slot_group_.assign(table, -1);
-  group_of_.resize(n);
-  group_demand_.clear();
-  const std::uint64_t mask = table - 1;
-  const auto nodes = static_cast<std::uint64_t>(mesh.num_nodes());
-  for (std::size_t j = 0; j < n; ++j) {
-    const Demand& dm = demands[begin + j];
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(dm.src) * nodes +
-        static_cast<std::uint64_t>(dm.dst);
-    std::uint64_t h = splitmix64(key) & mask;
-    while (slot_group_[h] >= 0 && slot_key_[h] != key) h = (h + 1) & mask;
-    if (slot_group_[h] < 0) {
-      slot_group_[h] = static_cast<std::int32_t>(group_demand_.size());
-      slot_key_[h] = key;
-      group_demand_.push_back(dm);
+  const Mesh& mesh = kernel.router->mesh();
+  const NodeId s = pair.src;
+  const NodeId t = pair.dst;
+  if (s == t) {
+    // Trivial path; no randomness consumed (matches every router's early
+    // return).
+    for (const std::uint64_t i : packets) {
+      reset_out(s, t, out[i]);
+      sample_length(path_lengths, i, out[i]);
     }
-    group_of_[j] = slot_group_[h];
+    return;
   }
-
-  const std::size_t groups = group_demand_.size();
-  group_start_.assign(groups + 1, 0);
-  for (std::size_t j = 0; j < n; ++j) {
-    group_start_[static_cast<std::size_t>(group_of_[j]) + 1]++;
-  }
-  for (std::size_t g = 0; g < groups; ++g) {
-    group_start_[g + 1] += group_start_[g];
-  }
-  group_cursor_.assign(group_start_.begin(), group_start_.end() - 1);
-  sorted_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    sorted_[group_cursor_[static_cast<std::size_t>(group_of_[j])]++] =
-        static_cast<std::uint64_t>(begin + j);
-  }
-
-  for (std::size_t g = 0; g < groups; ++g) {
-    const Demand dm = group_demand_[g];
-    const std::span<const std::uint64_t> packets(
-        sorted_.data() + group_start_[g],
-        group_start_[g + 1] - group_start_[g]);
-    if (dm.src == dm.dst) {
-      // Trivial path; no randomness consumed (matches every router's
-      // early return).
-      for (const std::uint64_t i : packets) {
-        reset_out(dm.src, dm.dst, out[i]);
-        sample_length(path_lengths, i, out[i]);
+  switch (kernel.kind) {
+    case Kind::kEcube:
+      run_ecube(mesh, s, t, packets, seed, out, path_lengths);
+      break;
+    case Kind::kRandomDimOrder:
+      run_dim_order(mesh, s, t, packets, seed, out, path_lengths);
+      break;
+    case Kind::kValiant:
+      run_valiant(mesh, s, t, packets, seed, out, path_lengths);
+      break;
+    case Kind::kBoundedValiant:
+      run_bounded_valiant(mesh, kernel.bounded->box_for(s, t), s, t, packets,
+                          seed, out, path_lengths);
+      break;
+    case Kind::kHierarchical: {
+      std::size_t up_count = 0;
+      int bridge_level = 0;
+      if (kernel.ancestor != nullptr) {
+        kernel.ancestor->resolve_plan(s, t, chain_, up_count, bridge_level);
+      } else {
+        kernel.nd->resolve_plan(s, t, chain_, up_count, bridge_level);
       }
-      continue;
+      run_hierarchical(mesh, s, t, up_count, packets, seed, out, path_lengths);
+      break;
     }
-    switch (rv.kind) {
-      case Kind::kEcube:
-        run_ecube(mesh, dm.src, dm.dst, packets, seed, out, path_lengths);
-        break;
-      case Kind::kRandomDimOrder:
-        run_dim_order(mesh, dm.src, dm.dst, packets, seed, out, path_lengths);
-        break;
-      case Kind::kValiant:
-        run_valiant(mesh, dm.src, dm.dst, packets, seed, out, path_lengths);
-        break;
-      case Kind::kBoundedValiant:
-        run_bounded_valiant(mesh, rv.bounded->box_for(dm.src, dm.dst), dm.src,
-                            dm.dst, packets, seed, out, path_lengths);
-        break;
-      case Kind::kHierarchical: {
-        std::size_t up_count = 0;
-        int bridge_level = 0;
-        if (rv.ancestor != nullptr) {
-          rv.ancestor->resolve_plan(dm.src, dm.dst, chain_, up_count,
-                                    bridge_level);
-        } else {
-          rv.nd->resolve_plan(dm.src, dm.dst, chain_, up_count, bridge_level);
-        }
-        run_hierarchical(mesh, dm.src, dm.dst, up_count, packets, seed, out,
-                         path_lengths);
-        break;
-      }
-      case Kind::kNdFrugal: {
-        std::size_t up_count = 0;
-        int bridge_level = 0;
-        rv.nd->resolve_plan(dm.src, dm.dst, chain_, up_count, bridge_level);
-        const int bh = rv.nd->decomposition().height_of(bridge_level);
-        run_frugal(mesh, dm.src, dm.dst, up_count, bh, packets, seed, out,
-                   path_lengths);
-        break;
-      }
-      case Kind::kUnsupported:
-        OBLV_UNREACHABLE("checked above");
+    case Kind::kNdFrugal: {
+      std::size_t up_count = 0;
+      int bridge_level = 0;
+      kernel.nd->resolve_plan(s, t, chain_, up_count, bridge_level);
+      const int bh = kernel.nd->decomposition().height_of(bridge_level);
+      run_frugal(mesh, s, t, up_count, bh, packets, seed, out, path_lengths);
+      break;
     }
+    case Kind::kUnsupported:
+      OBLV_UNREACHABLE("checked above");
   }
 }
 

@@ -4,8 +4,9 @@
 // (source, destination) pair: a mutex-guarded plan-cache lookup, chain
 // decoding, and virtual route_segments_into dispatch. Because path
 // selection is oblivious, packets are free to be processed in any order,
-// so this engine groups a chunk's packets by pair (counting sort over a
-// reusable open-addressing table), resolves each pair's routing plan ONCE,
+// so the packet driver groups a batch's packets by pair once
+// (packet_driver.cpp) and hands this engine one pair group -- or a piece
+// of one -- at a time. The engine resolves the pair's routing plan ONCE,
 // compiles it into a flat "draw program" (the exact sequence of rng draw
 // bounds the scalar router would execute), and then runs the program for
 // up to RngLanes::kLanes packets at a time with the lane-parallel counter
@@ -14,8 +15,8 @@
 // construction.
 //
 // Determinism contract (DESIGN.md section 10, enforced by the equivalence
-// tests): for every supported algorithm, seed, thread count, and chunk
-// size, out[i] is bit-identical to what the scalar engine produces with
+// tests): for every supported algorithm, seed, thread count, and group
+// split, out[i] is bit-identical to what the scalar engine produces with
 // packet_rng(seed, i). Lane k of every vectorized draw consumes exactly
 // the words of packet k's private stream -- lanes never share state --
 // and rejection sampling is fixed up per lane (RngLanes::next_lane).
@@ -38,23 +39,63 @@
 
 namespace oblivious {
 
+class AncestorRouter;
+class BoundedValiantRouter;
+class NdRouter;
+
 class SoaBatchEngine {
  public:
-  // True when `router` has a native SoA kernel: ecube, random-dim-order,
-  // Valiant, bounded Valiant, and the hierarchical routers (both
-  // AncestorRouter hierarchies; NdRouter naive and frugal). Staircase
-  // draws a data-dependent number of words per hop, so its lanes cannot
-  // run a shared program; it and unknown Router subclasses stay scalar.
-  static bool supports(const Router& router);
+  // A router's kernel, resolved once per batch: finding it takes a chain
+  // of dynamic_casts, too slow to repeat for every pair group.
+  struct Kernel {
+    enum class Kind {
+      kUnsupported,
+      kEcube,
+      kRandomDimOrder,
+      kValiant,
+      kBoundedValiant,
+      kHierarchical,  // AncestorRouter, or NdRouter with naive randomness
+      kNdFrugal,
+    };
+    Kind kind = Kind::kUnsupported;
+    const Router* router = nullptr;
+    const AncestorRouter* ancestor = nullptr;
+    const NdRouter* nd = nullptr;
+    const BoundedValiantRouter* bounded = nullptr;
 
-  // Routes packets [begin, end) of `demands` into out[begin..end) using
-  // the per-packet streams packet_rng(seed, i). When `path_lengths` is
-  // non-null, adds the stride-weighted path-length samples for exactly
-  // the packets the scalar engine would sample.
-  // \pre supports(router); every demand endpoint is a node of its mesh;
-  //      out.size() == demands.size().
-  void run(const Router& router, std::span<const Demand> demands,
-           std::uint64_t seed, std::size_t begin, std::size_t end,
+    bool supported() const { return kind != Kind::kUnsupported; }
+
+    // Whether BatchEngine::kAuto groups a batch for this kernel: every
+    // kernel but e-cube and random-dim-order. bench_p8_simd's crossover
+    // rows (SoA / scalar time per packet by pair-group size k; table in
+    // DESIGN.md section 10) put every other kernel below 1 from k = 4
+    // (0.32-0.95) and at 0.23-0.79 for k = 16. E-cube and random-dim-order
+    // reach only 0.83 and 1.21 at k = 16, and their 50-90 ns scalar
+    // packets would pay ~20 ns each for the grouping pass. A grouped
+    // batch runs every piece on the kernel, singletons included.
+    bool auto_grouped() const {
+      return supported() && kind != Kind::kEcube &&
+             kind != Kind::kRandomDimOrder;
+    }
+  };
+
+  // The kernel for `router`; Kind::kUnsupported when it has none. Ecube,
+  // random-dim-order, Valiant, bounded Valiant, and the hierarchical
+  // routers (both AncestorRouter hierarchies; NdRouter naive and frugal)
+  // have one. Staircase draws a data-dependent number of words per hop,
+  // so its lanes cannot run a shared program; it and unknown Router
+  // subclasses stay scalar.
+  static Kernel kernel_for(const Router& router);
+
+  // Routes the packets `packets` -- indices of packets whose demand is
+  // `pair` -- into out[i] using the per-packet streams packet_rng(seed,
+  // i). When `path_lengths` is non-null, adds the stride-weighted
+  // path-length samples for exactly the packets the scalar engine would
+  // sample.
+  // \pre kernel.supported(); pair's endpoints are nodes of the kernel
+  //      router's mesh; every index in `packets` is < out.size().
+  void run(const Kernel& kernel, const Demand& pair,
+           std::span<const std::uint64_t> packets, std::uint64_t seed,
            std::span<SegmentPath> out, IntHistogram* path_lengths);
 
  private:
@@ -115,15 +156,6 @@ class SoaBatchEngine {
                   int bits_per_coord, std::span<const std::uint64_t> packets,
                   std::uint64_t seed, std::span<SegmentPath> out,
                   IntHistogram* path_lengths);
-
-  // --- pair grouping (reusable, cleared per run) ---------------------
-  std::vector<std::uint64_t> slot_key_;
-  std::vector<std::int32_t> slot_group_;
-  std::vector<std::int32_t> group_of_;
-  std::vector<Demand> group_demand_;
-  std::vector<std::size_t> group_start_;
-  std::vector<std::size_t> group_cursor_;
-  std::vector<std::uint64_t> sorted_;  // global packet indices, group-major
 
   // --- per-group plan columns ----------------------------------------
   std::vector<Region> chain_;

@@ -84,6 +84,7 @@ void PlanCache::insert(NodeId s, NodeId t, int dim,
   slot->chain_len = static_cast<std::uint32_t>(chain.size());
   slot->bridge_level = bridge_level;
   const std::size_t d = static_cast<std::size_t>(dim);
+  const std::size_t old_capacity = slot->data.capacity();
   slot->data.clear();
   slot->data.reserve(chain.size() * 2 * d);
   for (const Region& region : chain) {
@@ -95,6 +96,11 @@ void PlanCache::insert(NodeId s, NodeId t, int dim,
     }
   }
   insertions_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t grown = slot->data.capacity() - old_capacity;
+  if (grown != 0) {
+    chain_bytes_.fetch_add(grown * sizeof(std::int64_t),
+                           std::memory_order_relaxed);
+  }
 }
 
 void PlanCache::clear() {
@@ -110,6 +116,11 @@ void PlanCache::clear() {
       set.next_victim = 0;
     }
   }
+}
+
+std::size_t PlanCache::memory_bytes() const {
+  return kNumShards * sets_per_shard_ * sizeof(Set) +
+         chain_bytes_.load(std::memory_order_relaxed);
 }
 
 PlanCache::Stats PlanCache::stats() const {

@@ -12,8 +12,9 @@
 // kWays-way set-associative slots. An entry stores the chain flattened as
 // (anchor, extent) coordinate pairs in a vector that is reused on
 // overwrite, so steady-state lookup/insert performs no heap allocation.
-// Eviction is round-robin within a set. Hit/miss totals are kept as
-// relaxed atomics; callers export them through the obs metrics registry.
+// Eviction is round-robin within a set. Hit/miss totals and the byte
+// count are kept as relaxed atomics; callers export them through the obs
+// metrics registry.
 #pragma once
 
 #include <array>
@@ -57,6 +58,9 @@ class PlanCache {
 
   std::size_t capacity() const { return capacity_; }
   Stats stats() const;
+  // The routing state the cache holds: its slots plus every entry's
+  // flattened-chain capacity (retained across overwrites and clear()).
+  std::size_t memory_bytes() const;
 
  private:
   static constexpr std::size_t kNumShards = 64;
@@ -91,6 +95,7 @@ class PlanCache {
   mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> insertions_{0};
   std::atomic<std::uint64_t> evictions_{0};
+  std::atomic<std::uint64_t> chain_bytes_{0};  // sum of Entry::data capacity
 };
 
 }  // namespace oblivious

@@ -69,6 +69,12 @@ class IntHistogram {
     total_ += weight;
   }
 
+  // Empties the histogram, keeping its bins' capacity.
+  void clear() {
+    bins_.assign(bins_.size(), 0);
+    total_ = 0;
+  }
+
   std::uint64_t total() const { return total_; }
   std::uint64_t count(std::int64_t value) const {
     const auto idx = static_cast<std::size_t>(value);

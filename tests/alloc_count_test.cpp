@@ -14,7 +14,9 @@
 
 #include "mesh/mesh.hpp"
 #include "mesh/segment_path.hpp"
+#include "parallel/route_batch.hpp"
 #include "parallel/soa_batch.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "routing/hierarchical.hpp"
 #include "routing/registry.hpp"
@@ -138,8 +140,8 @@ TEST(AllocCount, BaselineRoutersAllocateNothingSteadyState) {
 }
 
 // The SoA batch engine's buffers are all capacity-retaining members, so
-// after a warm-up batch (plan cache populated, grouping tables and draw
-// rows grown, output SmallVecs spilled to their final capacity) repeated
+// after a warm-up batch (plan cache populated, plan columns and draw rows
+// grown, output SmallVecs spilled to their final capacity) repeated
 // batches perform ZERO heap allocations -- the claim soa_batch.hpp makes.
 TEST(AllocCount, SoaBatchEngineAllocatesNothingSteadyState) {
 #if OBLV_CONTRACTS_ACTIVE
@@ -153,12 +155,16 @@ TEST(AllocCount, SoaBatchEngineAllocatesNothingSteadyState) {
       demands.push_back({pairs[i % 4].first, pairs[i % 4].second});
     }
     SoaBatchEngine engine;
+    const SoaBatchEngine::Kernel kernel = SoaBatchEngine::kernel_for(router);
+    const auto groups = testing::group_by_pair(demands, 0, demands.size());
     std::vector<SegmentPath> out(demands.size());
     const auto pass = [&]() {
       const std::uint64_t before =
           g_alloc_count.load(std::memory_order_relaxed);
-      engine.run(router, demands, /*seed=*/9, 0, demands.size(),
-                 std::span<SegmentPath>(out), nullptr);
+      for (const auto& group : groups) {
+        engine.run(kernel, group.pair, group.packets, /*seed=*/9,
+                   std::span<SegmentPath>(out), nullptr);
+      }
       return g_alloc_count.load(std::memory_order_relaxed) - before;
     };
     pass();
@@ -178,6 +184,47 @@ TEST(AllocCount, SoaBatchEngineAllocatesNothingSteadyState) {
     const auto router = make_router(algo, mesh2);
     run_engine(*router, mesh2);
   }
+#endif
+}
+
+// The packet driver groups a call's packets into capacity-retaining
+// thread-local buffers (pair table, group-major order, per-worker engine,
+// and path-length sample), so a warm route_batch under kAuto on a
+// one-thread pool -- routed inline on the calling thread -- performs ZERO
+// heap allocations, on the hierarchical kernels and on Valiant's.
+TEST(AllocCount, RouteBatchAllocatesNothingSteadyState) {
+#if OBLV_CONTRACTS_ACTIVE
+  GTEST_SKIP() << "contract validators allocate by design";
+#else
+  const auto run_batch = [](const Router& router, const Mesh& mesh) {
+    const auto pairs = testing::sample_pairs(mesh, 48, 31);
+    std::vector<Demand> demands;
+    for (const auto& [s, t] : pairs) demands.push_back({s, t});
+    for (std::size_t i = 0; i < 40; ++i) {  // groups of 1 to 11 packets
+      demands.push_back({pairs[i % 4].first, pairs[i % 4].second});
+    }
+    demands.push_back({pairs[0].first, pairs[0].first});  // s == t
+    ThreadPool pool(1);
+    RouteBatchOptions options;
+    options.seed = 9;
+    std::vector<SegmentPath> out;
+    const auto pass = [&]() {
+      const std::uint64_t before =
+          g_alloc_count.load(std::memory_order_relaxed);
+      route_batch(router, demands, pool, options, out);
+      return g_alloc_count.load(std::memory_order_relaxed) - before;
+    };
+    pass();
+    pass();
+    EXPECT_EQ(pass(), 0u) << router.name();
+    EXPECT_EQ(pass(), 0u) << router.name();
+  };
+  const Mesh mesh2 = Mesh::cube(2, 16);
+  run_batch(AncestorRouter(mesh2, AncestorRouter::Hierarchy::kAccessGraph),
+            mesh2);
+  const Mesh mesh3 = Mesh::cube(3, 8, /*torus=*/true);
+  run_batch(NdRouter(mesh3, NdRouter::RandomnessMode::kFrugal), mesh3);
+  run_batch(*make_router(Algorithm::kValiant, mesh2), mesh2);
 #endif
 }
 

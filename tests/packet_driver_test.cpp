@@ -203,9 +203,9 @@ TEST(PacketDriverDeterminism, StreamExactLoadsMatchRouteAndMeasure) {
 
 // Every sink gives the same result on the SoA engine as on the scalar
 // loop: the store sink under kAuto vs kScalar, the measuring sink's
-// sketch fold (SoA blocks) vs the streaming sink's (scalar, same fixed
-// blocks and fold order), and the fault sink (scalar) under a fault-free
-// model vs the SoA store sink.
+// sketch fold (a grouped run's block round) vs the streaming sink's
+// (scalar, same fixed blocks and fold order), and the fault sink
+// (scalar) under a fault-free model vs the SoA store sink.
 TEST(PacketDriverDeterminism, EverySinkSoaMatchesScalar) {
   ThreadPool pool(3);
   for (const Mesh& mesh : meshes()) {
@@ -249,6 +249,93 @@ TEST(PacketDriverDeterminism, EverySinkSoaMatchesScalar) {
       EXPECT_EQ(stats.clean, static_cast<std::int64_t>(problem.size()))
           << context;
       EXPECT_EQ(fault_paths, soa_paths) << context;
+    }
+  }
+}
+
+// A skewed batch: one hot pair carrying ~40% of the packets, a 7-packet
+// group, 200 singletons, and a few s == t demands, shuffled so every
+// group's packets are spread over the index range.
+RoutingProblem skewed_problem(const Mesh& mesh) {
+  const auto pairs = testing::sample_pairs(mesh, 202, 13);
+  RoutingProblem problem;
+  for (std::size_t i = 0; i < 200; ++i) {
+    problem.demands.push_back({pairs[i].first, pairs[i].second});
+  }
+  for (std::size_t i = 0; i < 7; ++i) {
+    problem.demands.push_back({pairs[200].first, pairs[200].second});
+  }
+  for (const NodeId v : {NodeId{0}, NodeId{5}, NodeId{5}}) {
+    problem.demands.push_back({v, v});
+  }
+  for (std::size_t i = 0; i < 140; ++i) {
+    problem.demands.push_back({pairs[201].first, pairs[201].second});
+  }
+  Rng rng(17);
+  for (std::size_t i = problem.demands.size(); i > 1; --i) {
+    std::swap(problem.demands[i - 1], problem.demands[rng.uniform_below(i)]);
+  }
+  return problem;
+}
+
+// Claims cut the hot pair (and the 7-packet group) into pieces at every
+// chunk size, and kAuto keeps e-cube and random-dim-order on the block
+// loop while kSoa groups them too: every engine, thread count, and chunk
+// size must still store the same paths. The sketch fold over fixed
+// 50-packet blocks (a grouped run's block round) must not depend on the
+// thread count either, and must equal the streaming sink's per-packet
+// fold.
+TEST(PacketDriverDeterminism, SkewedBatchSameForEveryEngineAndChunk) {
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  for (const Mesh& mesh : meshes()) {
+    const RoutingProblem problem = skewed_problem(mesh);
+    const std::size_t n = problem.size();
+    for (const Algorithm algo : algorithms_for(mesh)) {
+      const auto router = make_router(algo, mesh);
+      const std::string context = label(*router, mesh);
+      RouteBatchOptions reference_options;
+      reference_options.seed = kSeed;
+      reference_options.engine = BatchEngine::kScalar;
+      std::vector<SegmentPath> reference;
+      route_batch(*router, problem.demands, pool1, reference_options, reference);
+      std::vector<SegmentPath> paths;
+      for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+        for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
+                                        std::size_t{7}, std::size_t{37}, n}) {
+          for (const BatchEngine engine :
+               {BatchEngine::kAuto, BatchEngine::kSoa, BatchEngine::kScalar}) {
+            RouteBatchOptions options;
+            options.seed = kSeed;
+            options.chunk_size = chunk;
+            options.engine = engine;
+            route_batch(*router, problem.demands, *pool, options, paths);
+            EXPECT_EQ(paths, reference)
+                << context << " threads=" << pool->num_threads()
+                << " chunk=" << chunk
+                << " engine=" << static_cast<int>(engine);
+          }
+        }
+      }
+
+      AccountingOptions sketch;
+      sketch.mode = AccountingMode::kSketch;
+      sketch.sketch.sketch_bytes = std::size_t{1} << 14;
+      sketch.sketch.block_size = 50;
+      const auto streamed = LoadAccountant::create(
+          mesh, AccountingMode::kSketch, sketch.sketch);
+      StreamAccountOptions stream;
+      stream.seed = kSeed;
+      route_and_account(*router, DemandSource::from_span(problem.demands),
+                        pool2, stream, *streamed);
+      for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+        const RouteSetMetrics measured = route_and_measure_parallel(
+            mesh, *router, problem, 1.0, *pool, kSeed, sketch);
+        EXPECT_EQ(measured.congestion,
+                  static_cast<std::int64_t>(streamed->max_load()))
+            << context << " threads=" << pool->num_threads();
+      }
     }
   }
 }

@@ -153,6 +153,25 @@ TEST(RouteIntoEquivalence, PlanCacheCountersAdvance) {
   EXPECT_EQ(router.plan_cache().stats().misses, 2u);
 }
 
+// The cache's bytes are its slots plus each entry's chain storage: a miss
+// grows them, a hit does not, and clear() keeps the retained storage.
+TEST(RouteIntoEquivalence, PlanCacheBytesCountChainStorage) {
+  const Mesh mesh = Mesh::cube(2, 16);
+  const AncestorRouter router(mesh, AncestorRouter::Hierarchy::kAccessGraph);
+  const std::size_t empty = router.plan_cache().memory_bytes();
+  EXPECT_GT(empty, 0u);
+  RouteScratch scratch;
+  SegmentPath out;
+  Rng rng(5);
+  router.route_segments_into(1, 200, rng, scratch, out);
+  const std::size_t one = router.plan_cache().memory_bytes();
+  EXPECT_GT(one, empty);
+  router.route_segments_into(1, 200, rng, scratch, out);
+  EXPECT_EQ(router.plan_cache().memory_bytes(), one);
+  router.clear_plan_cache();
+  EXPECT_EQ(router.plan_cache().memory_bytes(), one);
+}
+
 // A pathologically small cache forces constant eviction; rebuilt plans
 // must be identical to the ones a big-cache router produces.
 TEST(RouteIntoEquivalence, EvictionNeverChangesPaths) {
@@ -187,11 +206,12 @@ TEST(RouteIntoEquivalence, EvictionNeverChangesPaths) {
 // packet: pair grouping, the compiled draw program, and the lane-parallel
 // rng may not change a single segment (DESIGN.md section 10). One engine
 // instance is reused across all meshes and algorithms, so every iteration
-// after the first runs with dirty grouping tables, plan columns, and draw
-// rows from a differently-shaped predecessor. The demand list repeats
-// pairs (so groups span multiple lane blocks, including ragged tails) and
-// the engine is driven over two uneven sub-ranges to exercise mid-array
-// starts, exactly as chunked workers would.
+// after the first runs with dirty plan columns and draw rows from a
+// differently-shaped predecessor. The demand list repeats pairs (so
+// groups span multiple lane blocks, including ragged tails) and the batch
+// is split at two uneven sub-ranges, each grouped on its own, so a pair
+// group is cut into two pieces at a mid-array index, exactly as a claim
+// boundary of the packet driver cuts it.
 TEST(RouteIntoEquivalence, SoaEngineMatchesScalarPerPacket) {
   constexpr std::uint64_t kSeed = 91;
   SoaBatchEngine engine;
@@ -206,7 +226,8 @@ TEST(RouteIntoEquivalence, SoaEngineMatchesScalarPerPacket) {
     demands.push_back({pairs[0].first, pairs[0].first});  // s == t
     for (const Algorithm algo : algorithms_for(mesh)) {
       const auto router = make_router(algo, mesh);
-      if (!SoaBatchEngine::supports(*router)) continue;
+      const SoaBatchEngine::Kernel kernel = SoaBatchEngine::kernel_for(*router);
+      if (!kernel.supported()) continue;
       std::vector<SegmentPath> scalar_out(demands.size());
       RouteScratch scratch;
       for (std::size_t i = 0; i < demands.size(); ++i) {
@@ -215,11 +236,14 @@ TEST(RouteIntoEquivalence, SoaEngineMatchesScalarPerPacket) {
                                     scratch, scalar_out[i]);
       }
       std::vector<SegmentPath> soa_out(demands.size());
-      const std::size_t split = demands.size() / 3;
-      engine.run(*router, demands, kSeed, 0, split,
-                 std::span<SegmentPath>(soa_out), nullptr);
-      engine.run(*router, demands, kSeed, split, demands.size(),
-                 std::span<SegmentPath>(soa_out), nullptr);
+      const std::size_t bounds[] = {0, demands.size() / 3, demands.size()};
+      for (std::size_t r = 0; r < 2; ++r) {
+        for (const auto& group :
+             testing::group_by_pair(demands, bounds[r], bounds[r + 1])) {
+          engine.run(kernel, group.pair, group.packets, kSeed,
+                     std::span<SegmentPath>(soa_out), nullptr);
+        }
+      }
       EXPECT_EQ(soa_out, scalar_out)
           << router->name() << " dim=" << mc.dim << " torus=" << mc.torus;
     }
@@ -227,13 +251,14 @@ TEST(RouteIntoEquivalence, SoaEngineMatchesScalarPerPacket) {
 }
 
 // Staircase draws a data-dependent number of words per hop, so it has no
-// SoA kernel; supports() must say so (route_batch relies on it to fall
-// back), and the routers with kernels must all be claimed.
+// SoA kernel; kernel_for() must say so (the packet driver then keeps it
+// on the per-packet block loop), and the routers with kernels must all
+// be claimed.
 TEST(RouteIntoEquivalence, SoaEngineSupportMatrix) {
   const Mesh mesh = Mesh::cube(2, 16);
   for (const Algorithm algo : algorithms_for(mesh)) {
     const auto router = make_router(algo, mesh);
-    EXPECT_EQ(SoaBatchEngine::supports(*router),
+    EXPECT_EQ(SoaBatchEngine::kernel_for(*router).supported(),
               algo != Algorithm::kStaircase)
         << router->name();
   }

@@ -2,12 +2,14 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "mesh/mesh.hpp"
 #include "rng/rng.hpp"
+#include "workloads/problem.hpp"
 
 namespace oblivious::testing {
 
@@ -26,6 +28,27 @@ inline std::vector<std::pair<NodeId, NodeId>> sample_pairs(const Mesh& mesh,
     if (s != t) pairs.emplace_back(s, t);
   }
   return pairs;
+}
+
+// Packets [begin, end) of `demands` grouped by (s, t) pair, each group's
+// indices in index order: the pieces the packet driver hands the SoA
+// engine when a claim covers exactly those packets.
+struct PairGroup {
+  Demand pair;
+  std::vector<std::uint64_t> packets;
+};
+inline std::vector<PairGroup> group_by_pair(const std::vector<Demand>& demands,
+                                            std::size_t begin,
+                                            std::size_t end) {
+  std::map<std::pair<NodeId, NodeId>, std::vector<std::uint64_t>> by_pair;
+  for (std::size_t i = begin; i < end; ++i) {
+    by_pair[{demands[i].src, demands[i].dst}].push_back(i);
+  }
+  std::vector<PairGroup> groups;
+  for (auto& [pair, packets] : by_pair) {
+    groups.push_back({Demand{pair.first, pair.second}, std::move(packets)});
+  }
+  return groups;
 }
 
 // Pretty parameter names for TEST_P instantiations.

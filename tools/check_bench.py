@@ -13,6 +13,16 @@ a baseline file.  Each check names a metric by path and one of:
   * "equals":   fail unless value == equals exactly (for deterministic
                 outputs such as seeded congestion counts).
 
+A check may also name a precondition on the host the bench ran on:
+
+  "requires": {"metric": "gauges:host.hardware_concurrency", "min": 4}
+
+The precondition metric is read from the check's own file and takes
+"min" and/or "max". When it is unmet the check is not run: it prints
+SKIP with the reason, counts as neither pass nor failure, and the
+summary reports it as skipped. A missing precondition metric is an
+error, like a missing checked metric.
+
 Baseline format:
 
   {
@@ -72,6 +82,19 @@ def run_check(check, value, tolerance_pct):
     raise KeyError("check needs one of 'equals', 'max', 'min', 'baseline'")
 
 
+def unmet_precondition(check, metrics):
+    """Returns why the check's precondition is unmet, or None."""
+    requires = check.get("requires")
+    if requires is None:
+        return None
+    value = lookup(metrics, requires["metric"])
+    if "min" in requires and value < float(requires["min"]):
+        return f"{requires['metric']} = {value:g} < {requires['min']}"
+    if "max" in requires and value > float(requires["max"]):
+        return f"{requires['metric']} = {value:g} > {requires['max']}"
+    return None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True,
@@ -85,11 +108,18 @@ def main():
     tolerance_pct = float(baseline.get("tolerance_pct", 25.0))
 
     failures = 0
+    skipped = 0
     for check in baseline["checks"]:
         path = f"{args.dir}/{check['file']}"
         try:
             with open(path, encoding="utf-8") as f:
                 report = json.load(f)
+            reason = unmet_precondition(check, report["metrics"])
+            if reason is not None:
+                print(f"[SKIP] {check['file']} {check['metric']}: "
+                      f"precondition unmet: {reason}")
+                skipped += 1
+                continue
             value = lookup(report["metrics"], check["metric"])
             ok, description = run_check(check, value, tolerance_pct)
         except (OSError, KeyError, json.JSONDecodeError) as e:
@@ -98,10 +128,14 @@ def main():
         print(f"[{status}] {check['file']} {check['metric']}: {description}")
         failures += 0 if ok else 1
 
+    skip_note = f"; {skipped} check(s) skipped, not run" if skipped else ""
     if failures:
-        print(f"{failures} check(s) failed")
+        print(f"{failures} check(s) failed{skip_note}")
         return 1
-    print("all checks passed")
+    if skipped:
+        print(f"every check that ran passed{skip_note}")
+    else:
+        print("all checks passed")
     return 0
 
 
