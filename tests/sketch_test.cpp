@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/congestion.hpp"
@@ -139,6 +141,141 @@ TEST(SpaceSavingSketch, EvictionKeepsHeavyKeysAndCountsChurn) {
   ss.clear();
   EXPECT_EQ(ss.size(), 0U);
   EXPECT_EQ(ss.evictions(), 0U);  // churn resets with the summary
+}
+
+// The textbook SpaceSaving, written for clarity rather than speed: a
+// linear scan finds a key or the (count, key)-smallest victim, and merge
+// unions by key with a sort. SpaceSavingLines must match it exactly.
+class ReferenceSpaceSaving {
+ public:
+  explicit ReferenceSpaceSaving(std::size_t capacity) : capacity_(capacity) {}
+
+  void add(std::uint64_t key, std::uint64_t weight) {
+    for (SpaceSavingLines::Entry& e : entries_) {
+      if (e.key == key) {
+        e.count += weight;
+        return;
+      }
+    }
+    if (entries_.size() < capacity_) {
+      entries_.push_back({key, weight, 0});
+      return;
+    }
+    SpaceSavingLines::Entry* victim = &entries_[0];
+    for (SpaceSavingLines::Entry& e : entries_) {
+      if (e.count < victim->count ||
+          (e.count == victim->count && e.key < victim->key)) {
+        victim = &e;
+      }
+    }
+    const std::uint64_t floor = victim->count;
+    *victim = {key, floor + weight, floor};
+    ++evictions_;
+  }
+
+  void clear() {
+    entries_.clear();
+    evictions_ = 0;
+  }
+
+  void merge(const ReferenceSpaceSaving& other) {
+    std::vector<SpaceSavingLines::Entry> all = entries_;
+    all.insert(all.end(), other.entries_.begin(), other.entries_.end());
+    const auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
+    std::sort(all.begin(), all.end(), by_key);
+    std::vector<SpaceSavingLines::Entry> combined;
+    for (const SpaceSavingLines::Entry& e : all) {
+      if (!combined.empty() && combined.back().key == e.key) {
+        combined.back().count += e.count;
+        combined.back().error += e.error;
+      } else {
+        combined.push_back(e);
+      }
+    }
+    entries_ = sorted(std::move(combined));
+    if (entries_.size() > capacity_) {
+      evictions_ += entries_.size() - capacity_;
+      entries_.resize(capacity_);
+    }
+    evictions_ += other.evictions_;
+  }
+
+  std::vector<SpaceSavingLines::Entry> entries_sorted() const {
+    return sorted(entries_);
+  }
+  std::uint64_t evictions() const { return evictions_; }
+  std::size_t size() const { return entries_.size(); }
+
+ private:
+  static std::vector<SpaceSavingLines::Entry> sorted(
+      std::vector<SpaceSavingLines::Entry> v) {
+    std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+      return a.count != b.count ? a.count > b.count : a.key < b.key;
+    });
+    return v;
+  }
+
+  std::size_t capacity_;
+  std::uint64_t evictions_ = 0;
+  std::vector<SpaceSavingLines::Entry> entries_;
+};
+
+void expect_same(const SpaceSavingLines& got, const ReferenceSpaceSaving& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.evictions(), want.evictions());
+  const auto a = got.entries_sorted();
+  const auto b = want.entries_sorted();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].key, b[i].key) << "rank " << i;
+    ASSERT_EQ(a[i].count, b[i].count) << "rank " << i;
+    ASSERT_EQ(a[i].error, b[i].error) << "rank " << i;
+  }
+}
+
+TEST(SpaceSavingSketch, MatchesReferenceUnderChurn) {
+  constexpr std::size_t kOps = 50000;
+  constexpr std::uint64_t kKeys = 2000;
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    // Two trackers so merge sees both shared and disjoint keys.
+    SpaceSavingLines main_ss(capacity), side_ss(capacity);
+    ReferenceSpaceSaving main_ref(capacity), side_ref(capacity);
+    Rng rng(1000 + capacity);
+    for (std::size_t op = 0; op < kOps; ++op) {
+      const std::uint64_t roll = rng.uniform_below(1000);
+      if (roll < 2) {
+        main_ss.merge(side_ss);
+        main_ref.merge(side_ref);
+        side_ss.clear();
+        side_ref.clear();
+      } else if (roll < 3) {
+        main_ss.clear();
+        main_ref.clear();
+      } else {
+        // Half the draws come from a 40-key hot set, so heavy keys
+        // survive the churn of the other 1,960.
+        const bool hot = rng.uniform_below(2) == 0;
+        const std::uint64_t key = rng.uniform_below(hot ? 40 : kKeys);
+        const std::uint64_t weight = 1 + rng.uniform_below(20);
+        if (roll < 700) {
+          main_ss.add(key, weight);
+          main_ref.add(key, weight);
+        } else {
+          side_ss.add(key, weight);
+          side_ref.add(key, weight);
+        }
+      }
+      if (roll < 3 || op % 97 == 0) {
+        SCOPED_TRACE("after op " + std::to_string(op));
+        expect_same(main_ss, main_ref);
+        expect_same(side_ss, side_ref);
+      }
+    }
+    expect_same(main_ss, main_ref);
+    EXPECT_GT(main_ss.evictions(), 0U);
+  }
 }
 
 TEST(SpaceSavingSketch, MergeUnionsCountsAndTruncatesDeterministically) {
@@ -296,6 +433,57 @@ TEST(SketchAccountant, BitIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(prints[0], prints[1]);
   EXPECT_EQ(prints[0], prints[2]);
+}
+
+// FNV-1a over the little-endian bytes of every value sketch_fingerprint
+// reads, plus the bits of error_bound().
+std::uint64_t fnv1a_fingerprint(const LoadAccountant& a) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const std::uint64_t v : sketch_fingerprint(a)) mix(v);
+  mix(std::bit_cast<std::uint64_t>(a.error_bound()));
+  return h;
+}
+
+// Pins every estimate to the values the map-and-lazy-heap tracker and
+// the per-piece count-min updates produced, so a faster sketch must be
+// the same sketch. A 64 KiB budget with 16 heavy lines makes the tracker
+// evict; block size 64 makes the parallel fold merge many summaries.
+TEST(SketchAccountant, EstimatesMatchParentGolden) {
+  struct GoldenCase {
+    const char* algorithm;
+    Mesh mesh;
+    std::uint64_t golden;
+  };
+  const GoldenCase cases[] = {
+      {"hierarchical-nd", Mesh::cube(3, 16), 0x153a3a374290e758ULL},
+      {"random-dim-order", Mesh::cube(2, 32, true), 0x75c7e044bb27abf9ULL},
+  };
+  SketchConfig config;
+  config.sketch_bytes = std::size_t{64} << 10;
+  config.top_lines = 16;
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(std::string(c.algorithm) + " on " + c.mesh.describe());
+    const auto router = make_router(*algorithm_from_name(c.algorithm), c.mesh);
+    const DemandSource source = DemandSource::random_pairs(c.mesh, 5000, 41);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      auto accountant =
+          LoadAccountant::create(c.mesh, AccountingMode::kSketch, config);
+      ThreadPool pool(threads);
+      StreamAccountOptions options;
+      options.seed = 17;
+      options.block_size = 64;
+      route_and_account(*router, source, pool, options, *accountant);
+      const std::uint64_t got = fnv1a_fingerprint(*accountant);
+      EXPECT_EQ(got, c.golden) << std::hex << "fingerprint 0x" << got;
+    }
+  }
 }
 
 TEST(SketchAccountant, FoldOrderIsBlockIndexOrder) {
