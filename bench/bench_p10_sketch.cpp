@@ -16,6 +16,12 @@
 // 4 MiB budget while routing the stream (gated: memory cap + throughput
 // floor).
 //
+// Part C (3D 64x64x64, hierarchical-nd): what measuring C costs per
+// packet. 24,576 random pairs are routed once; then each arm runs clear +
+// add_segment_paths + max_load on 1 thread, best of 5, into the exact
+// per-edge array and into a 4 MiB sketch. Time and memory side by side
+// (gated: the sketch-vs-exact time ratio).
+//
 // Flags: --packets N (Part A stream, default 100000),
 //        --huge-packets N (Part B stream, default 200000),
 //        --reps N (default 3), --threads N (default 2),
@@ -33,10 +39,12 @@
 #include "mesh/mesh.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/route_batch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "routing/registry.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -155,6 +163,67 @@ void run_huge(std::size_t packets, std::size_t threads) {
         sketch->memory_bytes() <= config.sketch_bytes ? 1.0 : 0.0);
 }
 
+// Part C: per-packet accounting cost of one routed 3D path set.
+void run_probe(std::size_t packets, int reps, std::size_t threads) {
+  std::cout << "\n-- 3D 64x64x64 hierarchical-nd: the cost of measuring C --\n";
+  const Mesh mesh = Mesh::cube(3, 64);
+  const auto router = make_router(*algorithm_from_name("hierarchical-nd"), mesh);
+  const DemandSource source = DemandSource::random_pairs(mesh, packets, 23);
+  std::vector<Demand> demands;
+  demands.reserve(packets);
+  for (std::size_t i = 0; i < packets; ++i) demands.push_back(source.demand(i));
+  std::vector<SegmentPath> paths;
+  {
+    ThreadPool pool(threads);
+    RouteBatchOptions options;
+    options.seed = 9;
+    route_batch(*router, demands, pool, options, paths);
+  }
+
+  SketchConfig config;
+  config.sketch_bytes = std::size_t{4} << 20;
+  auto exact = LoadAccountant::create(mesh, AccountingMode::kExact);
+  auto sketch = LoadAccountant::create(mesh, AccountingMode::kSketch, config);
+  const auto best_ns_per_pkt = [&](LoadAccountant& a) {
+    std::vector<double> times;
+    for (int r = 0; r < reps; ++r) {
+      const WallTimer timer;
+      a.clear();
+      a.add_segment_paths(paths);
+      a.max_load();
+      times.push_back(timer.elapsed_seconds());
+    }
+    return best(times) / static_cast<double>(packets) * 1e9;
+  };
+  const double exact_ns = best_ns_per_pkt(*exact);
+  const double sketch_ns = best_ns_per_pkt(*sketch);
+  const auto exact_bytes = static_cast<double>(exact->memory_bytes());
+  const auto sketch_bytes = static_cast<double>(sketch->memory_bytes());
+
+  Table table({"arm", "ns/packet", "time ratio", "bytes", "bytes ratio", "max"});
+  table.row()
+      .add("exact")
+      .add(exact_ns, 0)
+      .add(1.0, 2)
+      .add(exact_bytes, 0)
+      .add(1.0, 3)
+      .add(static_cast<double>(exact->max_load()), 0);
+  table.row()
+      .add("sketch")
+      .add(sketch_ns, 0)
+      .add(sketch_ns / exact_ns, 2)
+      .add(sketch_bytes, 0)
+      .add(sketch_bytes / exact_bytes, 3)
+      .add(static_cast<double>(sketch->max_load()), 0);
+  table.print(std::cout);
+
+  gauge("sketch.3d64.exact_ns_per_pkt", exact_ns);
+  gauge("sketch.3d64.sketch_ns_per_pkt", sketch_ns);
+  gauge("sketch.3d64.sketch_vs_exact_ratio", sketch_ns / exact_ns);
+  gauge("sketch.3d64.exact_bytes", exact_bytes);
+  gauge("sketch.3d64.sketch_bytes", sketch_bytes);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -171,14 +240,16 @@ int main(int argc, char** argv) {
   bench::banner("P10 / sketch congestion accounting",
                 "count-min + SpaceSaving load accounting vs the exact "
                 "per-edge array (gate: estimates within the (eps, delta) "
-                "bound on 64x64; 4 MiB budget held on 4096x4096)");
+                "bound on 64x64; 4 MiB budget held on 4096x4096; sketch "
+                "time per packet vs exact on 64^3)");
 
   run_small(packets, reps, threads);
   run_huge(huge_packets, threads);
+  run_probe(static_cast<std::size_t>(24576 * bench::scale()), 5, threads);
 
   if (flags.has("metrics-json")) {
     obs::write_metrics_json_file(flags.get("metrics-json", ""),
-                                 {{"bench", "P10"}},
+                                 bench::metrics_labels("P10"),
                                  obs::MetricsRegistry::global().snapshot());
   }
   return 0;

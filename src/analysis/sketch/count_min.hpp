@@ -29,7 +29,9 @@ namespace oblivious {
 
 class CountMinSketch {
  public:
-  // \pre width is a power of two >= 16; depth in [1, 16].
+  static constexpr int kMaxDepth = 16;
+
+  // \pre width is a power of two >= 16; depth in [1, kMaxDepth].
   CountMinSketch(std::size_t width, int depth, std::uint64_t seed);
 
   void add(std::uint64_t key, std::uint64_t count) {
@@ -39,10 +41,24 @@ class CountMinSketch {
   }
 
   void add_conservative(std::uint64_t key, std::uint64_t count) {
-    std::uint64_t est = ~std::uint64_t{0};
     std::size_t idx[kMaxDepth];
+    cells_of(key, idx);
+    add_conservative_at(idx, count);
+  }
+
+  // add_conservative in two halves, so a caller can find and prefetch a
+  // key's cells well before it applies the update: cells_of() fills
+  // idx[0, depth) with the key's cell in each row, and
+  // add_conservative_at() performs the update on those cells.
+  void cells_of(std::uint64_t key, std::size_t* idx) const {
+    for (int r = 0; r < depth_; ++r) idx[r] = row_offset(r) + slot(r, key);
+  }
+  void prefetch_cells(const std::size_t* idx) const {
+    for (int r = 0; r < depth_; ++r) __builtin_prefetch(&cells_[idx[r]], 1);
+  }
+  void add_conservative_at(const std::size_t* idx, std::uint64_t count) {
+    std::uint64_t est = ~std::uint64_t{0};
     for (int r = 0; r < depth_; ++r) {
-      idx[r] = row_offset(r) + slot(r, key);
       est = cells_[idx[r]] < est ? cells_[idx[r]] : est;
     }
     const std::uint64_t target = est + count;
@@ -77,8 +93,6 @@ class CountMinSketch {
   std::size_t memory_bytes() const { return cells_.size() * sizeof(std::uint64_t); }
 
  private:
-  static constexpr int kMaxDepth = 16;
-
   std::size_t row_offset(int r) const {
     return static_cast<std::size_t>(r) * width_;
   }

@@ -1,6 +1,7 @@
 #include "analysis/sketch/load_accountant.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <numbers>
@@ -127,6 +128,51 @@ class ExactAccountant final : public LoadAccountant {
 
 // ---------------------------------------------------------------- sketch --
 
+// The conservative count-min updates of one path, in the order the walk
+// produces its dyadic pieces. push() finds a piece's cells and prefetches
+// them, and the piece is applied kAhead pushes later or by flush(), so
+// each update finds its cells in cache -- yet the table still sees one
+// add_conservative per piece, in walk order, and ends bit-identical to
+// applying every piece on the spot. Fixed-size: nothing to allocate.
+class PieceQueue {
+ public:
+  void push(CountMinSketch& cm, std::uint64_t key, std::uint64_t count) {
+    Piece& slot = ring_[pushed_ % kAhead];
+    if (pushed_ >= kAhead) cm.add_conservative_at(slot.cells, slot.count);
+    cm.cells_of(key, slot.cells);
+    cm.prefetch_cells(slot.cells);
+    slot.count = count;
+    ++pushed_;
+    mass_ += count;
+  }
+
+  // Applies the pieces still in flight, oldest first, and empties the
+  // queue.
+  void flush(CountMinSketch& cm) {
+    const std::uint64_t first = pushed_ > kAhead ? pushed_ - kAhead : 0;
+    for (std::uint64_t i = first; i < pushed_; ++i) {
+      const Piece& slot = ring_[i % kAhead];
+      cm.add_conservative_at(slot.cells, slot.count);
+    }
+    pushed_ = 0;
+    mass_ = 0;
+  }
+
+  // Pieces pushed since the last flush, and the sum of their counts.
+  std::uint64_t pieces() const { return pushed_; }
+  std::uint64_t mass() const { return mass_; }
+
+ private:
+  static constexpr std::size_t kAhead = 8;
+  struct Piece {
+    std::uint64_t count;
+    std::size_t cells[CountMinSketch::kMaxDepth];
+  };
+  std::array<Piece, kAhead> ring_{};
+  std::uint64_t pushed_ = 0;
+  std::uint64_t mass_ = 0;
+};
+
 class SketchAccountant final : public LoadAccountant {
  public:
   SketchAccountant(const Mesh& mesh, const SketchConfig& config)
@@ -191,35 +237,36 @@ class SketchAccountant final : public LoadAccountant {
       if (mesh_->torus() && side > 2) {
         const std::int64_t laps = k / side;
         if (laps > 0) {
-          range_update(d, line, 0, side, static_cast<std::uint64_t>(laps));
+          queue_range(d, line, 0, side, static_cast<std::uint64_t>(laps));
         }
         const std::int64_t rem = k % side;
         if (rem > 0) {
           const std::int64_t start =
               seg.run > 0 ? cur[dd] : pos_mod(cur[dd] - rem, side);
           if (start + rem <= side) {
-            range_update(d, line, start, start + rem, 1);
+            queue_range(d, line, start, start + rem, 1);
           } else {
-            range_update(d, line, start, side, 1);
-            range_update(d, line, 0, start + rem - side, 1);
+            queue_range(d, line, start, side, 1);
+            queue_range(d, line, 0, start + rem - side, 1);
           }
         }
         cur[dd] = pos_mod(cur[dd] + seg.run, side);
       } else if (mesh_->torus() && side == 2) {
         // One edge per line, keyed at position 0; every step crosses it.
-        range_update(d, line, 0, 1, static_cast<std::uint64_t>(k));
+        queue_range(d, line, 0, 1, static_cast<std::uint64_t>(k));
         cur[dd] = pos_mod(cur[dd] + seg.run, side);
       } else if (seg.run > 0) {
         OBLV_REQUIRE(cur[dd] + k < side, "segment run leaves the mesh");
-        range_update(d, line, cur[dd], cur[dd] + k, 1);
+        queue_range(d, line, cur[dd], cur[dd] + k, 1);
         cur[dd] += k;
       } else {
         OBLV_REQUIRE(cur[dd] - k >= 0, "segment run leaves the mesh");
-        range_update(d, line, cur[dd] - k, cur[dd], 1);
+        queue_range(d, line, cur[dd] - k, cur[dd], 1);
         cur[dd] -= k;
       }
       ss_.add(line_key(d, line), static_cast<std::uint64_t>(k));
     }
+    flush_queue();
     OBLV_CHECK(mesh_->node_id(cur) == sp.dest,
                "segment path destination mismatch");
   }
@@ -263,12 +310,13 @@ class SketchAccountant final : public LoadAccountant {
           // Side-2 torus lines have a single edge keyed at position 0.
           if (mesh_->torus() && side == 2) pos = 0;
           const std::int64_t line = line_index(cur, d);
-          range_update(d, line, pos, pos + 1, 1);
+          queue_range(d, line, pos, pos + 1, 1);
           ss_.add(line_key(d, line), 1);
         }
       }
       OBLV_REQUIRE(matched, "path hop is not a mesh edge");
     }
+    flush_queue();
   }
 
   void clear() override {
@@ -432,8 +480,11 @@ class SketchAccountant final : public LoadAccountant {
     OBLV_REQUIRE(config.depth >= 1 && config.depth <= 16,
                  "sketch depth must be in [1, 16]");
     OBLV_REQUIRE(config.top_lines >= 1, "sketch top_lines must be >= 1");
-    // Reserve the heavy-line tracker's worst case (slots + map nodes +
-    // lazy heap) so memory_bytes() stays inside sketch_bytes.
+    // Reserve room for the heavy-line tracker so memory_bytes() stays
+    // inside sketch_bytes. The tracker holds at most 48 bytes per line
+    // (SpaceSavingLines::memory_bytes), well under 192. The constant
+    // stays anyway: it fixes the count-min width, and a different width
+    // would change every estimate.
     const std::size_t reserve = config.top_lines * 192 + 1024;
     const std::size_t row_bytes =
         static_cast<std::size_t>(config.depth) * sizeof(std::uint64_t);
@@ -494,17 +545,22 @@ class SketchAccountant final : public LoadAccountant {
            static_cast<std::uint64_t>(p);
   }
 
-  // +count on positions [lo, hi) of the given dimension-d line, as at
-  // most 2*log2(universe) conservative dyadic counter updates.
-  void range_update(int d, std::int64_t line, std::int64_t lo, std::int64_t hi,
-                    std::uint64_t count) {
+  // Queues +count on positions [lo, hi) of the given dimension-d line, as
+  // at most 2*log2(universe) conservative dyadic counter updates.
+  void queue_range(int d, std::int64_t line, std::int64_t lo, std::int64_t hi,
+                   std::uint64_t count) {
     if (lo >= hi) return;
     const DimGeometry& g = geom_[static_cast<std::size_t>(d)];
     dyadic_decompose(lo, hi, [&](int level, std::int64_t p) {
-      cm_.add_conservative(key_at(g, level, line, p), count);
-      ++updates_;
-      dyadic_mass_ += count;
+      queue_.push(cm_, key_at(g, level, line, p), count);
     });
+  }
+
+  // Books the current path's pieces once, then applies them.
+  void flush_queue() {
+    updates_ += queue_.pieces();
+    dyadic_mass_ += queue_.mass();
+    queue_.flush(cm_);
   }
 
   // Sum of the count-min estimates of the position's dyadic ancestors:
@@ -560,6 +616,7 @@ class SketchAccountant final : public LoadAccountant {
   SketchConfig config_;
   CountMinSketch cm_;
   SpaceSavingLines ss_;
+  PieceQueue queue_;
   std::vector<DimGeometry> geom_;
   int max_levels_ = 1;
 

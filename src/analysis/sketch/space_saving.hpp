@@ -12,10 +12,16 @@
 // truncation). Merge order still matters when truncation bites, which is
 // why parallel folds go through LoadAccountant::fold_block -- it replays
 // shard summaries in block-index order.
+//
+// Layout: every array is sized by the constructor and never grows, so
+// add(), clear() and merge()'s rebuild allocate nothing. The tracked
+// entries live in a min-heap ordered by (count, key), whose root is the
+// eviction victim; a linear-probing hash index maps a key to its heap
+// position. The index is only probed, never iterated (D002), and
+// entries_sorted() is the one way to read the tracker out.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "util/check.hpp"
@@ -30,7 +36,7 @@ class SpaceSavingLines {
     std::uint64_t error = 0;  // count - error lower-bounds the true weight
   };
 
-  // \pre capacity >= 1.
+  // \pre 1 <= capacity < 2^31.
   explicit SpaceSavingLines(std::size_t capacity);
 
   void add(std::uint64_t key, std::uint64_t weight);
@@ -45,7 +51,7 @@ class SpaceSavingLines {
   // Tracked entries ordered by (count desc, key asc).
   std::vector<Entry> entries_sorted() const;
 
-  std::size_t size() const { return index_.size(); }
+  std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
   // Evictions since construction or clear() (heavy-hitter churn). Reset
   // by clear() so per-block shard summaries report only their own block;
@@ -54,25 +60,31 @@ class SpaceSavingLines {
   std::size_t memory_bytes() const;
 
  private:
-  struct Slot {
-    std::uint64_t key;
+  struct Node {
     std::uint64_t count;
+    std::uint64_t key;
     std::uint64_t error;
+    std::uint32_t bucket;  // the index_ bucket that points at this node
   };
 
-  // Pops heap entries until the top reflects a live slot's current count;
-  // returns that slot index.
-  std::size_t refresh_min();
+  // index_ bucket holding `key`, or the empty bucket where it would go.
+  std::uint32_t find_bucket(std::uint64_t key) const;
+  // Empties `bucket` and backward-shifts the rest of its probe run.
+  void unlink(std::uint32_t bucket);
+  // Restore heap order after heap_[pos] got heavier (sift_down) or was
+  // appended (sift_up), keeping every moved node's index_ bucket current.
+  void sift_down(std::size_t pos);
+  void sift_up(std::size_t pos);
 
   std::size_t capacity_;
+  std::size_t size_ = 0;
   std::uint64_t evictions_ = 0;
-  std::vector<Slot> slots_;
-  // Ordered map (not unordered: D002) from key to slot index.
-  std::map<std::uint64_t, std::size_t> index_;
-  // Lazy min-heap of (count snapshot, key, slot): stale snapshots are
-  // dropped at pop time. Every live slot always has >= 1 heap entry with
-  // snapshot <= its current count.
-  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::size_t>> heap_;
+  // Min-heap on (count, key) over heap_[0, size_).
+  std::vector<Node> heap_;
+  // Open addressing over >= 2 * capacity buckets: a key's heap position,
+  // or kEmpty.
+  std::vector<std::uint32_t> index_;
+  int index_shift_ = 0;  // 64 - log2(index_.size()): Fibonacci-hash shift
 };
 
 }  // namespace oblivious

@@ -10,8 +10,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "analysis/sketch/load_accountant.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/segment_path.hpp"
 #include "parallel/route_batch.hpp"
@@ -226,6 +229,79 @@ TEST(AllocCount, RouteBatchAllocatesNothingSteadyState) {
   run_batch(NdRouter(mesh3, NdRouter::RandomnessMode::kFrugal), mesh3);
   run_batch(*make_router(Algorithm::kValiant, mesh2), mesh2);
 #endif
+}
+
+// The sketch accountant's state is sized at construction: the count-min
+// table, the heavy-line tracker's heap and hash index, and the fixed
+// prefetch queue of count-min updates. So once a warm-up pass has run,
+// clear() + add_segment_paths() of the same 3D paths -- thousands of
+// heavy-line evictions -- performs ZERO heap allocations.
+TEST(AllocCount, SketchAccountantAllocatesNothingSteadyState) {
+#if OBLV_CONTRACTS_ACTIVE
+  GTEST_SKIP() << "contract validators allocate by design";
+#else
+  const Mesh mesh = Mesh::cube(3, 16);
+  const NdRouter router(mesh);
+  std::vector<Demand> demands;
+  for (const auto& [s, t] : testing::sample_pairs(mesh, 512, 37)) {
+    demands.push_back({s, t});
+  }
+  ThreadPool pool(1);
+  RouteBatchOptions options;
+  options.seed = 5;
+  std::vector<SegmentPath> paths;
+  route_batch(router, demands, pool, options, paths);
+
+  SketchConfig config;
+  config.sketch_bytes = std::size_t{64} << 10;
+  config.top_lines = 16;
+  auto sketch = LoadAccountant::create(mesh, AccountingMode::kSketch, config);
+  const auto pass = [&]() {
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    sketch->clear();
+    sketch->add_segment_paths(paths);
+    return g_alloc_count.load(std::memory_order_relaxed) - before;
+  };
+  pass();
+  EXPECT_EQ(pass(), 0u);
+  EXPECT_EQ(pass(), 0u);
+  EXPECT_GT(sketch->total_edge_charges(), 0u);
+#endif
+}
+
+// The tracker must fit the reservation choose_width makes for it: at the
+// smallest budget the accountant accepts for a given top_lines, heavy
+// churn leaves memory_bytes() inside sketch_bytes. The 64^3 mesh has
+// 12,288 lines, so even 4096 tracked lines churn.
+TEST(AllocCount, SketchAccountantStaysInsideMinimalBudget) {
+  const Mesh mesh = Mesh::cube(3, 64);
+  const auto router = make_router(Algorithm::kRandomDimOrder, mesh);
+  std::vector<Demand> demands;
+  for (const auto& [s, t] : testing::sample_pairs(mesh, 20000, 43)) {
+    demands.push_back({s, t});
+  }
+  ThreadPool pool(1);
+  RouteBatchOptions options;
+  options.seed = 3;
+  std::vector<SegmentPath> paths;
+  route_batch(*router, demands, pool, options, paths);
+
+  for (const std::size_t top_lines :
+       {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
+    SCOPED_TRACE("top_lines " + std::to_string(top_lines));
+    SketchConfig config;
+    config.top_lines = top_lines;
+    // The smallest budget choose_width accepts: the tracker reservation
+    // plus 16 count-min columns.
+    const std::size_t cells = 16 * static_cast<std::size_t>(config.depth);
+    config.sketch_bytes = top_lines * 192 + 1024 + cells * sizeof(std::uint64_t);
+    auto sketch = LoadAccountant::create(mesh, AccountingMode::kSketch, config);
+    sketch->add_segment_paths(paths);
+    EXPECT_LE(sketch->memory_bytes(), config.sketch_bytes);
+    config.sketch_bytes -= 1;
+    EXPECT_THROW(LoadAccountant::create(mesh, AccountingMode::kSketch, config),
+                 std::invalid_argument);
+  }
 }
 
 // Sanity-check the harness itself: an allocation must be observed.

@@ -130,7 +130,7 @@ TEST(SpaceSavingSketch, EvictionKeepsHeavyKeysAndCountsChurn) {
   SpaceSavingLines ss(2);
   for (int i = 0; i < 50; ++i) ss.add(100, 3);  // heavy: 150
   ss.add(1, 1);
-  ss.add(2, 1);  // evicts key 1 (same count, larger key loses? no: evicts min)
+  ss.add(2, 1);  // full: evicts key 1, the (count, key)-smallest entry
   EXPECT_GT(ss.evictions(), 0U);
   const auto entries = ss.entries_sorted();
   ASSERT_EQ(entries.size(), 2U);
