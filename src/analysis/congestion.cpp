@@ -8,67 +8,18 @@
 #include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/contracts.hpp"
-#include "util/simd.hpp"
 
 namespace oblivious {
 
-namespace {
-
-// Adds a prefix-summed difference line into the (contiguous) edge loads
-// of that line and clears it. Pure integer lane-wise arithmetic, so the
-// vector and scalar versions are bit-identical; the AVX2 clone only
-// exists to let the compiler pick wider registers when the CPU has them.
-#define OBLV_ADD_LINE_BODY(diff, loads, n)                  \
-  do {                                                      \
-    OBLV_PRAGMA_SIMD                                        \
-    for (std::int64_t i = 0; i < (n); ++i) {                \
-      (loads)[i] += static_cast<std::uint32_t>((diff)[i]);  \
-      (diff)[i] = 0;                                        \
-    }                                                       \
-  } while (0)
-
-void add_line_portable(std::int64_t* diff, std::uint32_t* loads,
-                       std::int64_t n) {
-  OBLV_ADD_LINE_BODY(diff, loads, n);
-}
-
-#if OBLV_SIMD_X86_DISPATCH
-__attribute__((target("avx2"))) void add_line_avx2(std::int64_t* diff,
-                                                   std::uint32_t* loads,
-                                                   std::int64_t n) {
-  OBLV_ADD_LINE_BODY(diff, loads, n);
-}
-#endif
-
-inline void add_line(std::int64_t* diff, std::uint32_t* loads,
-                     std::int64_t n) {
-#if OBLV_SIMD_X86_DISPATCH
-  if (simd_avx2_enabled()) {
-    add_line_avx2(diff, loads, n);
-    return;
-  }
-#endif
-  add_line_portable(diff, loads, n);
-}
-
-#undef OBLV_ADD_LINE_BODY
-
-}  // namespace
-
 EdgeLoadMap::EdgeLoadMap(const Mesh& mesh)
-    : mesh_(&mesh), loads_(static_cast<std::size_t>(mesh.num_edges()), 0) {
-  const int dim = mesh.dim();
-  line_strides_.assign(static_cast<std::size_t>(dim), {});
-  for (int d = 0; d < dim; ++d) {
-    auto& strides = line_strides_[static_cast<std::size_t>(d)];
-    strides.assign(static_cast<std::size_t>(dim), 0);
-    std::int64_t t = 1;
-    for (int i = dim - 1; i >= 0; --i) {
-      if (i == d) continue;
-      strides[static_cast<std::size_t>(i)] = t;
-      t *= mesh.side(i);
-    }
-  }
+    : mesh_(&mesh), loads_(static_cast<std::size_t>(mesh.num_edges()), 0) {}
+
+std::size_t EdgeLoadMap::bytes_for(const Mesh& mesh) {
+  const auto entries =
+      static_cast<std::size_t>(mesh.num_edges()) +
+      static_cast<std::size_t>(mesh.dim()) *
+          static_cast<std::size_t>(mesh.num_nodes());
+  return entries * sizeof(std::uint32_t);
 }
 
 void EdgeLoadMap::add_path(const Path& path) {
@@ -120,27 +71,6 @@ void EdgeLoadMap::add_paths(const std::vector<Path>& paths) {
   for (const Path& p : paths) add_path(p);
 }
 
-std::int64_t EdgeLoadMap::line_index(const Coord& c, int d) const {
-  const auto& strides = line_strides_[static_cast<std::size_t>(d)];
-  std::int64_t line = 0;
-  for (int i = 0; i < mesh_->dim(); ++i) {
-    if (i == d) continue;
-    line += c[static_cast<std::size_t>(i)] * strides[static_cast<std::size_t>(i)];
-  }
-  return line;
-}
-
-void EdgeLoadMap::range_add(int d, std::size_t base, std::int64_t lo,
-                            std::int64_t hi, std::int64_t count) {
-  if (lo >= hi) return;
-  auto& diff = diff_[static_cast<std::size_t>(d)];
-  const std::int64_t radix = mesh_->edge_dim_radix(d);
-  diff[base + static_cast<std::size_t>(lo)] += count;
-  // A range closing at the end of the line needs no closing marker: the
-  // prefix sum stops at radix-1.
-  if (hi < radix) diff[base + static_cast<std::size_t>(hi)] -= count;
-}
-
 void EdgeLoadMap::add_segments(const SegmentPath& sp) {
   OBLV_REQUIRE(!sp.empty(), "cannot account an empty segment path");
   OBLV_EXPECTS(contracts::validate_segment_path(*mesh_, sp),
@@ -150,60 +80,75 @@ void EdgeLoadMap::add_segments(const SegmentPath& sp) {
   // Every unit step of every run (laps included) crosses exactly one edge.
   edge_charges_ += static_cast<std::uint64_t>(sp.length());
   max_valid_ = false;
-  if (diff_.empty()) {
-    diff_.resize(static_cast<std::size_t>(mesh_->dim()));
-    for (int d = 0; d < mesh_->dim(); ++d) {
-      diff_[static_cast<std::size_t>(d)].assign(
-          static_cast<std::size_t>(mesh_->edge_dim_offset(d + 1) -
-                                   mesh_->edge_dim_offset(d)),
-          0);
-    }
-  }
+  const int dim = mesh_->dim();
+  const bool torus = mesh_->torus();
+  const auto nodes = static_cast<std::size_t>(mesh_->num_nodes());
+  if (diff_.empty()) diff_.assign(static_cast<std::size_t>(dim) * nodes, 0U);
+  std::uint32_t* const diffs = diff_.data();
   dirty_ = true;
   Coord cur = mesh_->coord(sp.source);
+  NodeId node = sp.source;
   for (const Segment& seg : sp.segments) {
     const int d = seg.dim;
+    OBLV_REQUIRE(d >= 0 && d < dim, "segment dimension out of range");
     const std::size_t dd = static_cast<std::size_t>(d);
     const std::int64_t side = mesh_->side(d);
-    const std::int64_t radix = mesh_->edge_dim_radix(d);
-    OBLV_REQUIRE(radix > 0, "segment along a side-1 dimension");
+    OBLV_REQUIRE(side > 1, "segment along a side-1 dimension");
+    const std::int64_t stride = mesh_->node_stride(d);
+    std::uint32_t* diff = diffs + dd * nodes;
+    const std::int64_t from = cur[dd];
+    if (!torus) {
+      // A run covers the edges keyed at the nodes from its lower end up
+      // to, not including, its upper end. +1 at the lower end and -1 at
+      // the upper end is +sign(run) at this node and -sign(run) at the
+      // next, so the run's direction costs no branch.
+      const std::int64_t to = from + seg.run;
+      OBLV_REQUIRE(to >= 0 && to < side, "segment run leaves the mesh");
+      const NodeId next = node + seg.run * stride;
+      const auto sign =
+          static_cast<std::uint32_t>((seg.run > 0) - (seg.run < 0));
+      diff[node] += sign;
+      diff[next] -= sign;
+      cur[dd] = to;
+      node = next;
+      continue;
+    }
+    // The run's line holds nodes first + pos * stride, pos in [0, side).
+    // +count on the edges at positions [lo, hi) is charged at the
+    // lower-end node and cancelled at the upper-end node; a range that
+    // closes at the line's end (a wrap edge) needs no closing marker,
+    // since the flush's prefix sum stops there.
+    const NodeId first = node - from * stride;
+    const auto charge = [&](std::int64_t lo, std::int64_t hi, std::int64_t count) {
+      const auto c = static_cast<std::uint32_t>(count);
+      diff[first + lo * stride] += c;
+      if (hi < side) diff[first + hi * stride] -= c;
+    };
     const std::int64_t k = std::abs(seg.run);
-    const std::size_t base =
-        static_cast<std::size_t>(line_index(cur, d) * radix);
-    if (mesh_->torus() && side > 2) {
+    if (side > 2) {
       // Wrapping dimension: whole laps charge the full line, the
       // remainder is a cyclic range split into at most two pieces.
       const std::int64_t laps = k / side;
-      if (laps > 0) range_add(d, base, 0, side, laps);
+      if (laps > 0) charge(0, side, laps);
       const std::int64_t rem = k % side;
       if (rem > 0) {
-        const std::int64_t start =
-            seg.run > 0 ? cur[dd] : pos_mod(cur[dd] - rem, side);
+        const std::int64_t start = seg.run > 0 ? from : pos_mod(from - rem, side);
         if (start + rem <= side) {
-          range_add(d, base, start, start + rem, 1);
+          charge(start, start + rem, 1);
         } else {
-          range_add(d, base, start, side, 1);
-          range_add(d, base, 0, start + rem - side, 1);
+          charge(start, side, 1);
+          charge(0, start + rem - side, 1);
         }
       }
-      cur[dd] = pos_mod(cur[dd] + seg.run, side);
-    } else if (mesh_->torus() && side == 2) {
+    } else {
       // A side-2 torus dimension has a single edge per line (keyed at
       // coordinate 0); every unit step crosses it.
-      range_add(d, base, 0, 1, k);
-      cur[dd] = pos_mod(cur[dd] + seg.run, side);
-    } else if (seg.run > 0) {
-      OBLV_REQUIRE(cur[dd] + k < side, "segment run leaves the mesh");
-      range_add(d, base, cur[dd], cur[dd] + k, 1);
-      cur[dd] += k;
-    } else {
-      OBLV_REQUIRE(cur[dd] - k >= 0, "segment run leaves the mesh");
-      range_add(d, base, cur[dd] - k, cur[dd], 1);
-      cur[dd] -= k;
+      charge(0, 1, k);
     }
+    cur[dd] = pos_mod(from + seg.run, side);
+    node = first + cur[dd] * stride;
   }
-  OBLV_CHECK(mesh_->node_id(cur) == sp.dest,
-             "segment path destination mismatch");
+  OBLV_CHECK(node == sp.dest, "segment path destination mismatch");
 }
 
 void EdgeLoadMap::add_segment_paths(const std::vector<SegmentPath>& sps) {
@@ -214,45 +159,30 @@ void EdgeLoadMap::flush() const {
   if (!dirty_) return;
   OBLV_SCOPED_TIMER("loads.flush_seconds");
   dirty_ = false;
+  const std::int64_t nodes = mesh_->num_nodes();
   for (int d = 0; d < mesh_->dim(); ++d) {
-    auto& diff = diff_[static_cast<std::size_t>(d)];
-    const std::int64_t radix = mesh_->edge_dim_radix(d);
-    const std::int64_t lines =
-        static_cast<std::int64_t>(diff.size()) / std::max<std::int64_t>(radix, 1);
-    // Suffix stride: edge ids of a line advance by node_stride(d) as the
-    // dimension-d coordinate increments (see Mesh's edge numbering).
+    // Node ids a*side*stride + pos*stride + b (b < stride) form `stride`
+    // whole dimension-d lines, and for pos < radix the edge keyed at that
+    // node is a*radix*stride + pos*stride + b past edge_dim_offset(d)
+    // (Mesh's edge numbering). So each block of lines prefix-sums along
+    // the node stride and adds its first radix rows, unchanged in order,
+    // into one contiguous run of loads.
+    const std::int64_t side = mesh_->side(d);
     const std::int64_t stride = mesh_->node_stride(d);
-    const EdgeId offset = mesh_->edge_dim_offset(d);
-    std::size_t idx = 0;
-    if (stride == 1) {
-      // Innermost dimension: the line's edges are contiguous, so after
-      // the (inherently serial) in-place prefix sum the accumulate into
-      // loads_ is a straight lane-wise add -- the widened kernel.
-      for (std::int64_t line = 0; line < lines; ++line, idx += radix) {
-        std::int64_t running = 0;
-        for (std::int64_t pos = 0; pos < radix; ++pos) {
-          running += diff[idx + static_cast<std::size_t>(pos)];
-          diff[idx + static_cast<std::size_t>(pos)] = running;
-        }
-        add_line(diff.data() + idx,
-                 loads_.data() + static_cast<std::size_t>(offset + line * radix),
-                 radix);
+    const std::int64_t block = side * stride;
+    const std::int64_t charged = mesh_->edge_dim_radix(d) * stride;
+    std::uint32_t* diff = diff_.data() + static_cast<std::size_t>(d * nodes);
+    std::uint32_t* loads =
+        loads_.data() + static_cast<std::size_t>(mesh_->edge_dim_offset(d));
+    for (std::int64_t a = 0; a < nodes / block; ++a) {
+      for (std::int64_t i = stride; i < block; ++i) diff[i] += diff[i - stride];
+      for (std::int64_t i = 0; i < charged; ++i) {
+        loads[i] += diff[i];
+        diff[i] = 0;
       }
-    } else {
-      for (std::int64_t line = 0; line < lines; ++line) {
-        const std::int64_t a = line / stride;
-        const std::int64_t b = line % stride;
-        const std::int64_t edge_base = offset + (a * radix) * stride + b;
-        std::int64_t running = 0;
-        for (std::int64_t pos = 0; pos < radix; ++pos, ++idx) {
-          running += diff[idx];
-          diff[idx] = 0;
-          if (running != 0) {
-            loads_[static_cast<std::size_t>(edge_base + pos * stride)] +=
-                static_cast<std::uint32_t>(running);
-          }
-        }
-      }
+      std::fill(diff + charged, diff + block, 0U);
+      diff += block;
+      loads += charged;
     }
   }
 }
@@ -275,7 +205,9 @@ void EdgeLoadMap::merge(const EdgeLoadMap& other) {
 
 void EdgeLoadMap::clear() {
   std::fill(loads_.begin(), loads_.end(), 0U);
-  for (auto& diff : diff_) std::fill(diff.begin(), diff.end(), 0);
+  // A flush leaves the difference arrays zero, so only pending charges
+  // need dropping.
+  if (dirty_) std::fill(diff_.begin(), diff_.end(), 0U);
   dirty_ = false;
   edge_charges_ = 0;
   max_cache_ = 0;

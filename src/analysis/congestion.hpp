@@ -7,12 +7,15 @@
 // Two ingestion paths:
 //  * add_path walks a node-list path hop by hop (O(path length));
 //  * add_segments charges a SegmentPath with one difference-array range
-//    update per straight run (O(#segments)), deferring the per-edge
-//    materialization to a single prefix-sum flush. The flush happens
-//    lazily on first read, so interleaving add_path / add_segments /
-//    queries stays correct.
+//    update per straight run (O(#segments)): +1 at the run's lower-end
+//    node and -1 at its upper-end node, in a per-dimension array indexed
+//    by node id. A single prefix-sum flush along each dimension's node
+//    stride materializes the per-edge loads. The flush happens lazily on
+//    first read, so interleaving add_path / add_segments / queries stays
+//    correct.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,6 +37,9 @@ class EdgeLoadMap {
 
   // O(#segments): each straight run becomes one range bump in a per-axis
   // difference array; a lap of a torus dimension charges the whole line.
+  // Throws std::invalid_argument on an empty path, a source or dimension
+  // out of range, a run along a side-1 dimension or off a non-torus
+  // mesh, and std::logic_error when the runs do not end at `sp.dest`.
   // \pre `sp` is a non-empty valid segment path of this map's mesh.
   void add_segments(const SegmentPath& sp);
   void add_segment_paths(const std::vector<SegmentPath>& sps);
@@ -44,6 +50,11 @@ class EdgeLoadMap {
   // (one prefix-sum pass per axis). Read accessors call this lazily; an
   // explicit call is only needed for timing.
   void flush() const;
+
+  // What a map over `mesh` holds once add_segments has run: the uint32
+  // per-edge loads plus one uint32 difference entry per node and
+  // dimension.
+  static std::size_t bytes_for(const Mesh& mesh);
 
   // Adds every edge load of `other` into this map; used to merge sharded
   // per-thread accumulators.
@@ -82,14 +93,6 @@ class EdgeLoadMap {
   IntHistogram histogram() const;
 
  private:
-  // +count on positions [lo, hi) of the dimension-d line starting at
-  // diff index `base`.
-  void range_add(int d, std::size_t base, std::int64_t lo, std::int64_t hi,
-                 std::int64_t count);
-  // Mixed-radix index of the dimension-d line through coordinate `c`
-  // (the coordinate with dimension d removed).
-  std::int64_t line_index(const Coord& c, int d) const;
-
   const Mesh* mesh_;
   std::uint64_t segments_charged_ = 0;
   std::uint64_t paths_added_ = 0;
@@ -99,16 +102,15 @@ class EdgeLoadMap {
   mutable std::uint64_t reported_segments_ = 0;
   mutable std::uint64_t reported_paths_ = 0;
   mutable std::vector<std::uint32_t> loads_;
-  // Per-dimension difference arrays in line-major layout (line stride =
-  // edge_dim_radix(d)); allocated on first add_segments.
-  mutable std::vector<std::vector<std::int64_t>> diff_;
+  // Per-dimension difference arrays indexed by node id: dimension d owns
+  // [d * num_nodes, (d + 1) * num_nodes). Entries wrap mod 2^32 exactly
+  // as the loads do, so the flushed loads are exact. Allocated on first
+  // add_segments; all zero whenever dirty_ is false.
+  mutable std::vector<std::uint32_t> diff_;
   mutable bool dirty_ = false;
   // Memoized max_load (valid for an empty map); every mutator invalidates.
   mutable std::uint32_t max_cache_ = 0;
   mutable bool max_valid_ = true;
-  // line_strides_[d][i]: contribution of coordinate i to the line index
-  // of dimension d (line_strides_[d][d] is unused and 0).
-  std::vector<std::vector<std::int64_t>> line_strides_;
 };
 
 namespace contracts {

@@ -74,7 +74,7 @@ void LoadAccountant::fold_block(std::size_t block,
 }
 
 std::size_t LoadAccountant::exact_bytes(const Mesh& mesh) {
-  return static_cast<std::size_t>(mesh.num_edges()) * sizeof(std::uint32_t);
+  return EdgeLoadMap::bytes_for(mesh);
 }
 
 namespace {
@@ -228,6 +228,7 @@ class SketchAccountant final : public LoadAccountant {
     Coord cur = mesh_->coord(sp.source);
     for (const Segment& seg : sp.segments) {
       const int d = seg.dim;
+      OBLV_REQUIRE(d >= 0 && d < mesh_->dim(), "segment dimension out of range");
       const std::size_t dd = static_cast<std::size_t>(d);
       const std::int64_t side = mesh_->side(d);
       const std::int64_t radix = geom_[dd].radix;
@@ -386,7 +387,7 @@ class SketchAccountant final : public LoadAccountant {
     OBLV_REQUIRE(e >= 0 && e < mesh_->num_edges(), "edge id out of range");
     // Invert the mesh's edge numbering: within dimension d, the edge ids
     // of a line advance by node_stride(d), and line a*stride+b starts at
-    // offset + (a*radix)*stride + b (see EdgeLoadMap::flush).
+    // offset + (a*radix)*stride + b (see Mesh::edge_id).
     int d = mesh_->dim() - 1;
     while (d > 0 && e < geom_[static_cast<std::size_t>(d)].offset) --d;
     const DimGeometry& g = geom_[static_cast<std::size_t>(d)];

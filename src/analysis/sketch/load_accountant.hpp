@@ -140,7 +140,9 @@ class LoadAccountant {
                                                 const SketchConfig& config = {});
 
   // What exact mode would allocate for `mesh` (no allocation happens):
-  // the feasibility check for gigantic meshes.
+  // the per-edge loads plus the per-node difference arrays of segment
+  // accounting (EdgeLoadMap::bytes_for). The feasibility check for
+  // gigantic meshes, and exact mode's memory_bytes().
   static std::size_t exact_bytes(const Mesh& mesh);
 };
 

@@ -3,8 +3,9 @@
 // reusable buffer to its steady-state capacity), repeated route_into /
 // route_segments_into calls on the hierarchical routers perform ZERO heap
 // allocations. The test binary overrides the global allocation functions
-// with counting wrappers; the contract-checked build is skipped because
-// the OBLV_EXPECTS validators allocate by design.
+// with wrappers that count calls and requested bytes; the
+// contract-checked build is skipped because the OBLV_EXPECTS validators
+// allocate by design.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,15 +32,21 @@
 namespace {
 
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
+
+void count(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   const std::size_t a = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + a - 1) / a * a;
   if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
@@ -51,11 +58,11 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new(std::size_t size, std::align_val_t align) {
@@ -266,6 +273,50 @@ TEST(AllocCount, SketchAccountantAllocatesNothingSteadyState) {
   EXPECT_EQ(pass(), 0u);
   EXPECT_EQ(pass(), 0u);
   EXPECT_GT(sketch->total_edge_charges(), 0u);
+#endif
+}
+
+// Exact mode's memory_bytes() covers everything it allocates: the
+// per-edge loads and the per-node difference arrays that the first
+// add_segments allocates. A fresh accountant charging a batch allocates
+// no more than it reports plus a fixed slack for the object itself, and
+// once warm, clear() + add_segment_paths() + max_load() allocates nothing.
+TEST(AllocCount, ExactAccountantAllocatesWhatItReports) {
+#if OBLV_CONTRACTS_ACTIVE
+  GTEST_SKIP() << "contract validators allocate by design";
+#else
+  const Mesh mesh = Mesh::cube(2, 256);
+  const auto router = make_router(Algorithm::kRandomDimOrder, mesh);
+  std::vector<Demand> demands;
+  for (const auto& [s, t] : testing::sample_pairs(mesh, 2048, 41)) {
+    demands.push_back({s, t});
+  }
+  ThreadPool pool(1);
+  RouteBatchOptions options;
+  options.seed = 7;
+  std::vector<SegmentPath> paths;
+  route_batch(*router, demands, pool, options, paths);
+
+  constexpr std::uint64_t kSlack = 4096;
+  const std::uint64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+  auto exact = LoadAccountant::create(mesh, AccountingMode::kExact);
+  exact->add_segment_paths(paths);
+  const std::uint64_t congestion = exact->max_load();
+  const std::uint64_t allocated =
+      g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(exact->memory_bytes(), LoadAccountant::exact_bytes(mesh));
+  EXPECT_LE(allocated, exact->memory_bytes() + kSlack);
+  EXPECT_GT(congestion, 0u);
+
+  const auto pass = [&]() {
+    const std::uint64_t calls = g_alloc_count.load(std::memory_order_relaxed);
+    exact->clear();
+    exact->add_segment_paths(paths);
+    EXPECT_EQ(exact->max_load(), congestion);
+    return g_alloc_count.load(std::memory_order_relaxed) - calls;
+  };
+  EXPECT_EQ(pass(), 0u);
+  EXPECT_EQ(pass(), 0u);
 #endif
 }
 

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "analysis/congestion.hpp"
+#include "analysis/sketch/load_accountant.hpp"
 #include "routing/baselines.hpp"
 #include "test_support.hpp"
+#include "util/contracts.hpp"
 
 namespace oblivious {
 namespace {
@@ -144,6 +151,82 @@ TEST(EdgeLoadMap, MaxLoadMemoizationSurvivesEveryMutator) {
 
   loads.clear();
   EXPECT_EQ(loads.max_load(), 0U);  // clear resets
+}
+
+// Which of the accountants' exceptions add_segments throws for `sp`.
+std::string thrown_by(LoadAccountant& accountant, const SegmentPath& sp) {
+  try {
+    accountant.add_segments(sp);
+  } catch (const ContractViolation&) {
+    return "ContractViolation";
+  } catch (const std::invalid_argument&) {
+    return "invalid_argument";
+  } catch (const std::logic_error&) {
+    return "logic_error";
+  }
+  return "nothing";
+}
+
+SegmentPath runs(NodeId source, NodeId dest, std::vector<Segment> segments) {
+  SegmentPath sp;
+  sp.source = source;
+  sp.dest = dest;
+  for (const Segment& seg : segments) sp.segments.push_back(seg);
+  return sp;
+}
+
+// Both accountants index per-dimension state by the segment's dimension,
+// so every malformed path must be rejected before it is charged -- in a
+// default Release build too, where the O(path) OBLV_EXPECTS validator is
+// compiled out. A contract-checked build rejects all but the empty path
+// in that validator first.
+TEST(LoadAccountant, RejectsMalformedSegmentPathsInEveryMode) {
+  const Mesh mesh({4, 8});  // node (x, y) has id 8x + y
+  const Mesh thin({1, 8});  // dimension 0 has side 1
+  struct Case {
+    const char* what;
+    const Mesh* mesh;
+    SegmentPath sp;
+    const char* release;  // the always-on check's exception
+  };
+  const std::vector<Case> cases = {
+      {"empty path", &mesh, SegmentPath{}, "invalid_argument"},
+      {"source out of range", &mesh, runs(32, 33, {{1, 1}}),
+       "invalid_argument"},
+      {"run off the +x side", &mesh, runs(2, 4, {{1, 2}, {0, 4}}),
+       "invalid_argument"},
+      {"run off the -x side", &mesh, runs(16, 0, {{0, -3}}),
+       "invalid_argument"},
+      {"run off the +y side", &mesh, runs(8, 24, {{0, 1}, {1, 8}}),
+       "invalid_argument"},
+      {"run off the -y side", &mesh, runs(3, 0, {{1, -4}}),
+       "invalid_argument"},
+      {"run along a side-1 dimension", &thin, runs(0, 0, {{0, 1}}),
+       "invalid_argument"},
+      {"dimension == dim()", &mesh, runs(0, 8, {{2, 1}}), "invalid_argument"},
+      {"negative dimension", &mesh, runs(0, 8, {{-1, 1}}),
+       "invalid_argument"},
+      {"wrong dest", &mesh, runs(0, 9, {{0, 1}, {1, 2}}), "logic_error"},
+  };
+  SketchConfig config;
+  config.sketch_bytes = std::size_t{64} << 10;
+  config.top_lines = 16;
+  for (const AccountingMode mode :
+       {AccountingMode::kExact, AccountingMode::kSketch}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(accounting_mode_name(mode)) + ": " + c.what);
+      const auto accountant = LoadAccountant::create(*c.mesh, mode, config);
+      const bool validated = OBLV_CONTRACTS_ACTIVE && !c.sp.empty();
+      EXPECT_EQ(thrown_by(*accountant, c.sp),
+                validated ? "ContractViolation" : c.release);
+    }
+    // The walk itself is sound: the wrong-dest path's runs, with the
+    // right dest, charge their three hops.
+    const auto accountant = LoadAccountant::create(mesh, mode, config);
+    accountant->add_segments(runs(0, 10, {{0, 1}, {1, 2}}));
+    EXPECT_EQ(accountant->total_edge_charges(), 3U);
+    EXPECT_GE(accountant->estimate_load(mesh.edge_between(8, 9)), 1U);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Huge-mesh smoke: sketch accounting must hold a fixed memory budget.
 
-Runs `oblv_route --stream` on a mesh whose exact per-edge load array
+Runs `oblv_route --stream` on a mesh whose exact accounting arrays
 could not be allocated on the runner (default: 1024x1024x1024, ~3.2e9
-edges, ~12.8 GB exact) with sketch accounting, and fails unless
+edges, ~25.8 GB exact) with sketch accounting, and fails unless
 
   * the run exits 0 and routes every packet,
   * the reported sketch memory stays inside --sketch-bytes, and
