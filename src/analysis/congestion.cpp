@@ -15,11 +15,10 @@ EdgeLoadMap::EdgeLoadMap(const Mesh& mesh)
     : mesh_(&mesh), loads_(static_cast<std::size_t>(mesh.num_edges()), 0) {}
 
 std::size_t EdgeLoadMap::bytes_for(const Mesh& mesh) {
-  const auto entries =
-      static_cast<std::size_t>(mesh.num_edges()) +
-      static_cast<std::size_t>(mesh.dim()) *
-          static_cast<std::size_t>(mesh.num_nodes());
-  return entries * sizeof(std::uint32_t);
+  const auto edges = static_cast<std::size_t>(mesh.num_edges());
+  const auto nodes = static_cast<std::size_t>(mesh.num_nodes());
+  const auto dim = static_cast<std::size_t>(mesh.dim());
+  return (edges + dim * nodes) * sizeof(std::uint32_t);
 }
 
 void EdgeLoadMap::add_path(const Path& path) {
@@ -105,8 +104,7 @@ void EdgeLoadMap::add_segments(const SegmentPath& sp) {
       const std::int64_t to = from + seg.run;
       OBLV_REQUIRE(to >= 0 && to < side, "segment run leaves the mesh");
       const NodeId next = node + seg.run * stride;
-      const auto sign =
-          static_cast<std::uint32_t>((seg.run > 0) - (seg.run < 0));
+      const auto sign = static_cast<std::uint32_t>((seg.run > 0) - (seg.run < 0));
       diff[node] += sign;
       diff[next] -= sign;
       cur[dd] = to;

@@ -205,7 +205,8 @@ class SketchAccountant final : public LoadAccountant {
         key_base += static_cast<std::uint64_t>(g.lines) * (g.universe >> l);
       }
       // Mixed-radix strides of the dimension-d line index (coordinate d
-      // removed), matching EdgeLoadMap's numbering.
+      // removed): line a*stride+b of Mesh's edge numbering, which
+      // estimate_load inverts.
       g.line_strides.assign(static_cast<std::size_t>(dim), 0);
       std::int64_t t = 1;
       for (int i = dim - 1; i >= 0; --i) {

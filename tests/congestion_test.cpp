@@ -191,21 +191,17 @@ TEST(LoadAccountant, RejectsMalformedSegmentPathsInEveryMode) {
   };
   const std::vector<Case> cases = {
       {"empty path", &mesh, SegmentPath{}, "invalid_argument"},
-      {"source out of range", &mesh, runs(32, 33, {{1, 1}}),
-       "invalid_argument"},
+      {"source out of range", &mesh, runs(32, 33, {{1, 1}}), "invalid_argument"},
       {"run off the +x side", &mesh, runs(2, 4, {{1, 2}, {0, 4}}),
        "invalid_argument"},
-      {"run off the -x side", &mesh, runs(16, 0, {{0, -3}}),
-       "invalid_argument"},
+      {"run off the -x side", &mesh, runs(16, 0, {{0, -3}}), "invalid_argument"},
       {"run off the +y side", &mesh, runs(8, 24, {{0, 1}, {1, 8}}),
        "invalid_argument"},
-      {"run off the -y side", &mesh, runs(3, 0, {{1, -4}}),
-       "invalid_argument"},
+      {"run off the -y side", &mesh, runs(3, 0, {{1, -4}}), "invalid_argument"},
       {"run along a side-1 dimension", &thin, runs(0, 0, {{0, 1}}),
        "invalid_argument"},
       {"dimension == dim()", &mesh, runs(0, 8, {{2, 1}}), "invalid_argument"},
-      {"negative dimension", &mesh, runs(0, 8, {{-1, 1}}),
-       "invalid_argument"},
+      {"negative dimension", &mesh, runs(0, 8, {{-1, 1}}), "invalid_argument"},
       {"wrong dest", &mesh, runs(0, 9, {{0, 1}, {1, 2}}), "logic_error"},
   };
   SketchConfig config;
