@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "analysis/evaluate.hpp"
 #include "analysis/lower_bound.hpp"
@@ -120,6 +122,75 @@ TEST(LowerBound, ArgmaxSubmeshIsReported) {
   const CongestionLowerBound lb = congestion_lower_bound(m, dec, p);
   EXPECT_GT(lb.boundary, 0.0);
   EXPECT_GE(lb.boundary_argmax.region.volume(), 1);
+}
+
+// Pins the bits of boundary and value() and the argmax submesh -- its
+// (level, type, grid_key), region and truncation -- for both
+// decompositions on mesh and torus in d = 1..3, so a faster bound must be
+// the same bound. Three problems: a permutation, a skewed hot spot (a
+// quarter of the nodes into one sink, on top of a permutation), and a
+// slab exchange, whose argmax is a truncated shifted piece on the mesh.
+TEST(LowerBound, MatchesParentGolden) {
+  struct GoldenCase {
+    bool section4;
+    bool torus;
+    int dim;
+    std::uint64_t golden;
+  };
+  const GoldenCase cases[] = {
+      {false, false, 1, 0x2bc4c6b17f950bf7ULL},
+      {false, false, 2, 0x5908345c2913a63fULL},
+      {false, false, 3, 0x3fe6d6c1739587f7ULL},
+      {false, true, 1, 0xcdfa2b9b085e73cfULL},
+      {false, true, 2, 0xca69eb311815d25cULL},
+      {false, true, 3, 0xc118a1e6b75a4dULL},
+      {true, false, 1, 0x2c37b237759517f7ULL},
+      {true, false, 2, 0xcf9625ff7cfc3a97ULL},
+      {true, false, 3, 0xf7779d5883b5913ULL},
+      {true, true, 1, 0xcdfa2b9b085e73cfULL},
+      {true, true, 2, 0x1ed4437c9bb2ad1cULL},
+      {true, true, 3, 0x46a2d99c49dc036cULL},
+  };
+  const std::int64_t sides[] = {0, 64, 16, 8};
+  for (const GoldenCase& c : cases) {
+    const Mesh mesh =
+        Mesh::cube(c.dim, sides[static_cast<std::size_t>(c.dim)], c.torus);
+    const Decomposition dec = c.section4 ? Decomposition::section4(mesh)
+                                         : Decomposition::section3(mesh);
+    SCOPED_TRACE(std::string(c.section4 ? "section4 " : "section3 ") +
+                 mesh.describe());
+    Rng rng(21 + static_cast<std::uint64_t>(c.dim));
+    const RoutingProblem permutation = random_permutation(mesh, rng);
+    RoutingProblem skewed = hotspot(
+        mesh, rng, static_cast<std::size_t>(mesh.num_nodes() / 4));
+    const RoutingProblem background = random_permutation(mesh, rng);
+    skewed.demands.insert(skewed.demands.end(), background.demands.begin(),
+                          background.demands.end());
+    const RoutingProblem slabs = block_exchange(mesh, mesh.side(0) / 4);
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) {
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (v >> (8 * byte)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    for (const RoutingProblem& problem : {permutation, skewed, slabs}) {
+      const CongestionLowerBound lb = congestion_lower_bound(mesh, dec, problem);
+      mix(std::bit_cast<std::uint64_t>(lb.boundary));
+      mix(std::bit_cast<std::uint64_t>(lb.value()));
+      const RegularSubmesh& arg = lb.boundary_argmax;
+      mix(static_cast<std::uint64_t>(arg.level));
+      mix(static_cast<std::uint64_t>(arg.type));
+      mix(static_cast<std::uint64_t>(arg.grid_key));
+      mix(arg.truncated ? 1U : 0U);
+      for (int d = 0; d < arg.region.dim(); ++d) {
+        mix(static_cast<std::uint64_t>(arg.region.anchor_at(d)));
+        mix(static_cast<std::uint64_t>(arg.region.extent_at(d)));
+      }
+    }
+    EXPECT_EQ(h, c.golden) << std::hex << "fingerprint 0x" << h;
+  }
 }
 
 }  // namespace
