@@ -1,9 +1,8 @@
 #include "analysis/lower_bound.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <tuple>
-#include <unordered_map>
+#include <array>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -30,68 +29,86 @@ CongestionLowerBound congestion_lower_bound(const Mesh& mesh,
   CongestionLowerBound out;
   out.average = average_load_bound(mesh, problem);
 
-  struct KeyHash {
-    std::size_t operator()(const std::tuple<int, int, std::int64_t>& key) const {
-      const auto& [level, type, grid] = key;
-      std::size_t h = std::hash<std::int64_t>{}(grid);
-      h ^= static_cast<std::size_t>(level) * 0x9e3779b97f4a7c15ULL;
-      h ^= static_cast<std::size_t>(type) * 0xc2b2ae3d27d4eb4fULL;
-      return h;
-    }
+  // A crossed endpoint: its submesh's grid_key and the node. The two
+  // buffers hold at most two per demand and serve every (level, type).
+  struct Crossing {
+    std::int64_t key;
+    NodeId node;
   };
-  // Crossing counts |Pi'| keyed by submesh identity; the submesh itself is
-  // kept alongside so the argmax can be reported.
-  std::unordered_map<std::tuple<int, int, std::int64_t>,
-                     std::pair<std::int64_t, RegularSubmesh>, KeyHash>
-      crossings;
+  std::vector<Crossing> crossed;
+  std::vector<Crossing> sorted;
+  crossed.reserve(2 * problem.demands.size());
+  sorted.reserve(2 * problem.demands.size());
 
+  // Sides are 2^k, so coordinate d of a node is bits [k (dim-1-d), +k) of
+  // its id and a cell index is a shift. Levels 1..k: the root holds every
+  // pair, and single nodes give the max-degree bound for hot spots.
   const int k = decomposition.leaf_level();
-  for (const Demand& demand : problem.demands) {
-    if (demand.src == demand.dst) continue;
-    const Coord cs = mesh.coord(demand.src);
-    const Coord ct = mesh.coord(demand.dst);
-    // Levels 1..k-1: the root contains everything (never crossed) and leaf
-    // submeshes have out() counted too (single nodes) -- include level k,
-    // it yields the max-degree bound for hot spots.
-    for (int level = 1; level <= k; ++level) {
-      for (int type = 1; type <= decomposition.num_types(level); ++type) {
-        const auto sm_s = decomposition.submesh_at(cs, level, type);
-        if (sm_s.has_value() && !sm_s->region.contains(mesh, ct)) {
-          auto it = crossings
-                        .try_emplace(std::make_tuple(level, type, sm_s->grid_key),
-                                     0, *sm_s)
-                        .first;
-          ++it->second.first;
+  const int dim = mesh.dim();
+  const std::int64_t side = std::int64_t{1} << k;
+  for (int level = 1; level <= k; ++level) {
+    const int log_m = k - level;
+    const std::int64_t m = std::int64_t{1} << log_m;
+    const std::int64_t radix = side / m + 2;
+    std::int64_t key_limit = 1;
+    for (int d = 0; d < dim; ++d) key_limit *= radix;
+    for (int type = 1; type <= decomposition.num_types(level); ++type) {
+      const std::int64_t shift = (type - 1) * decomposition.shift_lambda(level);
+      const bool discards = type > 1 && !mesh.torus() &&
+                            decomposition.config().discard_corners;
+      // The grid_key submesh_at gives node p's cell, or -1 when
+      // make_submesh discards it: a corner, truncated in every dimension.
+      const auto cell = [&](NodeId p) {
+        std::int64_t key = 0;
+        bool truncated_all = true;
+        for (int d = 0; d < dim; ++d) {
+          const std::int64_t x = ((p >> (k * (dim - 1 - d))) & (side - 1)) - shift;
+          const std::int64_t i = (mesh.torus() ? x & (side - 1) : x) >> log_m;
+          key = key * radix + (i + 1);
+          const std::int64_t raw = shift + i * m;
+          truncated_all = truncated_all && (raw < 0 || raw + m > side);
         }
-        const auto sm_t = decomposition.submesh_at(ct, level, type);
-        if (sm_t.has_value() && !sm_t->region.contains(mesh, cs)) {
-          auto it = crossings
-                        .try_emplace(std::make_tuple(level, type, sm_t->grid_key),
-                                     0, *sm_t)
-                        .first;
-          ++it->second.first;
+        return discards && truncated_all ? -1 : key;
+      };
+      // A family partitions the mesh: a submesh holding one endpoint
+      // holds the other exactly when both lie in the same cell.
+      crossed.clear();
+      for (const Demand& demand : problem.demands) {
+        const std::int64_t ks = cell(demand.src);
+        const std::int64_t kt = cell(demand.dst);
+        if (ks == kt) continue;
+        if (ks >= 0) crossed.push_back({ks, demand.src});
+        if (kt >= 0) crossed.push_back({kt, demand.dst});
+      }
+      // LSD radix sort by key, 11 bits a pass, so runs of a key are
+      // adjacent and come in ascending key order.
+      for (int bit = 0; ((key_limit - 1) >> bit) > 0; bit += 11) {
+        std::array<std::size_t, 2049> at{};
+        for (const Crossing& c : crossed) ++at[((c.key >> bit) & 2047) + 1];
+        for (std::size_t b = 1; b < at.size(); ++b) at[b] += at[b - 1];
+        sorted.resize(crossed.size());
+        for (const Crossing& c : crossed) sorted[at[(c.key >> bit) & 2047]++] = c;
+        crossed.swap(sorted);
+      }
+      // Ascending (level, type, grid_key) and a strict > keep the smallest
+      // key among equal bounds. out(M') >= 1, so a submesh crossed no more
+      // than `out.boundary` times cannot win and is never built.
+      for (std::size_t a = 0, b = 0; a < crossed.size(); a = b) {
+        while (b < crossed.size() && crossed[b].key == crossed[a].key) ++b;
+        const auto count = static_cast<double>(b - a);
+        if (count <= out.boundary) continue;
+        const auto sm =
+            decomposition.submesh_at(mesh.coord(crossed[a].node), level, type);
+        OBLV_CHECK(sm.has_value() && sm->grid_key == crossed[a].key,
+                   "crossing keyed by its submesh");
+        const std::int64_t out_edges = mesh.boundary_edge_count(sm->region);
+        OBLV_CHECK(out_edges > 0, "crossed submesh must have boundary edges");
+        const double bound = count / static_cast<double>(out_edges);
+        if (bound > out.boundary) {
+          out.boundary = bound;
+          out.boundary_argmax = *sm;
         }
       }
-    }
-  }
-
-  // The argmax over an unordered_map must not depend on bucket order: ties
-  // on b are broken toward the smallest (level, type, grid_key) triple, so
-  // boundary_argmax is a pure function of the problem.
-  // oblv-lint: allow(D002) argmax tie-broken on the submesh key
-  std::optional<std::tuple<int, int, std::int64_t>> best_key;
-  for (const auto& [key, entry] : crossings) {
-    const auto& [count, submesh] = entry;
-    const std::int64_t out_edges = mesh.boundary_edge_count(submesh.region);
-    OBLV_CHECK(out_edges > 0, "crossed submesh must have boundary edges");
-    const double b = static_cast<double>(count) / static_cast<double>(out_edges);
-    const bool better =
-        b > out.boundary ||
-        (b == out.boundary && best_key.has_value() && key < *best_key);
-    if (better) {
-      out.boundary = b;
-      out.boundary_argmax = submesh;
-      best_key = key;
     }
   }
   return out;

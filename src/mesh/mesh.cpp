@@ -197,40 +197,38 @@ EdgeId Mesh::edge_id(const Coord& u, int d) const {
 }
 
 EdgeId Mesh::edge_between(NodeId a, NodeId b) const {
-  OBLV_REQUIRE(adjacent(a, b), "edge_between requires adjacent nodes");
-  Coord ca = coord(a);
-  const Coord cb = coord(b);
-  for (int d = 0; d < dim(); ++d) {
-    const std::size_t dd = static_cast<std::size_t>(d);
-    if (ca[dd] == cb[dd]) continue;
-    const std::int64_t lo = std::min(ca[dd], cb[dd]);
-    const std::int64_t hi = std::max(ca[dd], cb[dd]);
-    if (hi - lo == 1) {
-      ca[dd] = lo;  // edge keyed by its lower endpoint
-    } else {
-      ca[dd] = hi;  // wrap edge keyed by side-1
-    }
-    return edge_id(ca, d);
+  OBLV_REQUIRE(a >= 0 && a < num_nodes_ && b >= 0 && b < num_nodes_,
+               "node id out of range");
+  const NodeId lo = std::min(a, b);
+  const NodeId delta = std::max(a, b) - lo;
+  for (std::size_t d = 0; d < sides_.size(); ++d) {
+    // Node ids split into lines of dimension d: `line` ids per line, the
+    // coordinate along d being offset / s. An edge is numbered by its key
+    // node u (the lower endpoint, or a wrap edge's end at side-1) as
+    // u / line * (radix * s) + u % line within the dimension.
+    const std::int64_t s = node_strides_[d];
+    const std::int64_t line = sides_[d] * s;
+    const bool wraps = edge_dim_radix_[d] == sides_[d];
+    if (delta != s && !(wraps && delta == line - s)) continue;
+    const NodeId offset = lo % line;
+    const EdgeId first = edge_offsets_[d] + lo / line * edge_dim_radix_[d] * s;
+    if (delta == s && offset + s < line) return first + offset;
+    if (wraps && delta == line - s && offset < s) return first + offset + delta;
   }
-  OBLV_UNREACHABLE("adjacent nodes with equal coordinates");
+  OBLV_REQUIRE(false, "edge_between requires adjacent nodes");
+  return kInvalidEdge;
 }
 
 std::pair<NodeId, NodeId> Mesh::edge_endpoints(EdgeId e) const {
-  OBLV_REQUIRE(e >= 0 && e < num_edges_, "edge id out of range");
-  const int d = edge_dim(e);
-  const std::size_t dd = static_cast<std::size_t>(d);
-  EdgeId idx = e - edge_offsets_[dd];
-  Coord u;
-  u.resize(sides_.size());
-  for (std::size_t i = sides_.size(); i-- > 0;) {
-    const std::int64_t radix = (i == dd) ? edge_dim_radix_[i] : sides_[i];
-    u[i] = idx % radix;
-    idx /= radix;
-  }
-  const NodeId a = node_id(u);
-  const NodeId b = step(a, d, 1);
-  OBLV_CHECK(b != kInvalidNode, "edge endpoint off the mesh");
-  return {a, b};
+  const std::size_t d = static_cast<std::size_t>(edge_dim(e));
+  const std::int64_t s = node_strides_[d];
+  const std::int64_t line = sides_[d] * s;
+  const EdgeId radix_line = edge_dim_radix_[d] * s;
+  const EdgeId idx = e - edge_offsets_[d];
+  const NodeId offset = idx % radix_line;
+  const NodeId a = idx / radix_line * line + offset;
+  // The +1 neighbor along d; a wrap edge runs from side-1 back to 0.
+  return {a, offset + s < line ? a + s : a + s - line};
 }
 
 int Mesh::edge_dim(EdgeId e) const {

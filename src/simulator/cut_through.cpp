@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 
 #include "analysis/congestion.hpp"
 #include "mesh/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "rng/rng.hpp"
 #include "routing/route_scratch.hpp"
+#include "simulator/link_arbiter.hpp"
 #include "util/check.hpp"
 #include "util/contracts.hpp"
 
@@ -38,8 +38,20 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
   const bool faulty =
       options.faults != nullptr && !options.faults->fault_free();
 
-  // Edge (and direction) sequences plus path-set metrics.
-  std::vector<std::vector<EdgeId>> keys(paths.size());
+  struct PacketState {
+    std::size_t hop = 0;       // its next link key's index in `keys`
+    std::size_t end = 0;       // one past its last link key's index
+    std::size_t start = 0;     // `keys` index of its current path's first hop
+    std::int64_t ready = 1;    // earliest step the head can cross again
+    std::uint64_t rank = 0;
+    int retries = 0;           // fault requeues consumed
+    std::int64_t wait_until = 0;  // backoff: head idles until this step
+  };
+
+  // The link keys of every path, back to back (a reroute appends the new
+  // path's), plus path-set metrics.
+  std::vector<EdgeId> keys;
+  std::vector<PacketState> state(paths.size());
   const std::unique_ptr<LoadAccountant> loads = LoadAccountant::create(
       mesh, options.accounting.mode, options.accounting.sketch);
   std::int64_t total_hops = 0;
@@ -49,16 +61,9 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
     OBLV_EXPECTS(contracts::validate_path_in_mesh(mesh, p),
                  "cut-through simulation needs paths that follow mesh edges");
     loads->add_path(p);
-    keys[i].reserve(static_cast<std::size_t>(p.length()));
-    for (std::size_t j = 0; j + 1 < p.nodes.size(); ++j) {
-      const EdgeId e = mesh.edge_between(p.nodes[j], p.nodes[j + 1]);
-      if (options.full_duplex) {
-        const auto [a, b] = mesh.edge_endpoints(e);
-        keys[i].push_back(2 * e + (p.nodes[j] == a ? 0 : 1));
-      } else {
-        keys[i].push_back(e);
-      }
-    }
+    state[i].hop = state[i].start = keys.size();
+    append_link_keys(mesh, p.nodes, options.full_duplex, keys);
+    state[i].end = keys.size();
     total_hops += p.length();
     result.dilation = std::max(result.dilation, p.length());
   }
@@ -72,14 +77,6 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
       options.max_steps > 0
           ? options.max_steps
           : (faulty ? 4 * fault_free_budget + 1024 : fault_free_budget);
-
-  struct PacketState {
-    std::size_t hop = 0;       // next link index
-    std::int64_t ready = 1;    // earliest step the head can cross again
-    std::uint64_t rank = 0;
-    int retries = 0;           // fault requeues consumed
-    std::int64_t wait_until = 0;  // backoff: head idles until this step
-  };
 
   // Mutable node sequences, needed only when a reroute can rewrite a
   // packet's remaining path.
@@ -96,11 +93,13 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
 
   Rng rng(options.seed);
   RouteScratch scratch;
-  std::vector<PacketState> state(paths.size());
   std::vector<std::size_t> active;
+  std::vector<std::size_t> still_active;
+  active.reserve(paths.size());
+  still_active.reserve(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     state[i].rank = rng.next_u64();
-    if (keys[i].empty()) {
+    if (state[i].hop == state[i].end) {
       result.latency.add(static_cast<double>(F - 1));  // tail drains locally
       ++result.delivered;
     } else {
@@ -109,7 +108,8 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
   }
 
   // A link streams one packet's F flits at a time: busy through this step.
-  std::unordered_map<EdgeId, std::int64_t> busy_until;
+  const EdgeId links = mesh.num_edges() * (options.full_duplex ? 2 : 1);
+  std::vector<std::int64_t> busy_until(static_cast<std::size_t>(links));
 
   const auto wins = [&](std::size_t a, std::size_t b) {
     switch (options.policy) {
@@ -117,8 +117,8 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
         if (state[a].ready != state[b].ready) return state[a].ready < state[b].ready;
         return a < b;
       case SchedulingPolicy::kFurthestToGo: {
-        const auto ra = static_cast<std::int64_t>(keys[a].size() - state[a].hop);
-        const auto rb = static_cast<std::int64_t>(keys[b].size() - state[b].hop);
+        const auto ra = static_cast<std::int64_t>(state[a].end - state[a].hop);
+        const auto rb = static_cast<std::int64_t>(state[b].end - state[b].hop);
         if (ra != rb) return ra > rb;
         return a < b;
       }
@@ -129,75 +129,62 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
     OBLV_UNREACHABLE("unknown policy");
   };
 
-  std::unordered_map<EdgeId, std::size_t> winner;
+  LinkArbiter arbiter(mesh, options.full_duplex);
   std::int64_t step = 0;
   while (!active.empty() && step < max_steps) {
     ++step;
-    winner.clear();
     for (const std::size_t i : active) {
       if (state[i].ready > step || state[i].wait_until > step) continue;
-      const EdgeId key = keys[i][state[i].hop];
+      const EdgeId key = keys[state[i].hop];
       // A failed link refuses the head flit; the packet requeues below.
       if (faulty && options.faults->edge_failed(edge_of(key), step)) continue;
-      const auto busy = busy_until.find(key);
-      if (busy != busy_until.end() && busy->second >= step) continue;
-      const auto it = winner.find(key);
-      if (it == winner.end() || wins(i, it->second)) winner[key] = i;
+      if (busy_until[static_cast<std::size_t>(key)] >= step) continue;
+      arbiter.request(key, step, i, wins);
     }
-    std::vector<std::size_t> still_active;
-    still_active.reserve(active.size());
+    still_active.clear();
     for (const std::size_t i : active) {
-      const EdgeId key = keys[i][state[i].hop];
-      if (faulty && state[i].ready <= step && state[i].wait_until <= step &&
+      PacketState& st = state[i];
+      const EdgeId key = keys[st.hop];
+      if (faulty && st.ready <= step && st.wait_until <= step &&
           options.faults->edge_failed(edge_of(key), step)) {
         // Requeue with backoff, or drop once the budget is spent -- the
         // packet always leaves the network counted.
-        if (state[i].retries >= options.retry.max_attempts) {
+        if (st.retries >= options.retry.max_attempts) {
           ++result.dropped;
           OBLV_COUNTER_ADD("fault.drops", 1);
           continue;
         }
-        ++state[i].retries;
+        ++st.retries;
         const std::int64_t backoff = options.retry.backoff_base
-                                     << std::min(state[i].retries - 1, 32);
+                                     << std::min(st.retries - 1, 32);
         OBLV_COUNTER_ADD("fault.retries", 1);
         OBLV_COUNTER_ADD("fault.backoff_steps",
                          static_cast<std::uint64_t>(backoff));
-        state[i].wait_until = step + backoff;
+        st.wait_until = step + backoff;
         if (options.reroute_router != nullptr) {
           // Fresh random bits from the node the head is stuck at.
-          const NodeId at = cur_nodes[i][state[i].hop];
+          const NodeId at = cur_nodes[i][st.hop - st.start];
           const NodeId dst = cur_nodes[i].back();
           options.reroute_router->route_into(at, dst, rng, scratch,
                                              scratch.path);
           cur_nodes[i] = scratch.path.nodes;
-          keys[i].clear();
-          for (std::size_t j = 0; j + 1 < cur_nodes[i].size(); ++j) {
-            const EdgeId e =
-                mesh.edge_between(cur_nodes[i][j], cur_nodes[i][j + 1]);
-            if (options.full_duplex) {
-              const auto [a, b] = mesh.edge_endpoints(e);
-              keys[i].push_back(2 * e + (cur_nodes[i][j] == a ? 0 : 1));
-            } else {
-              keys[i].push_back(e);
-            }
-          }
-          state[i].hop = 0;
+          st.hop = st.start = keys.size();
+          append_link_keys(mesh, cur_nodes[i], options.full_duplex, keys);
+          st.end = keys.size();
         }
         still_active.push_back(i);
         continue;
       }
-      const auto it = winner.find(key);
-      if (it == winner.end() || it->second != i || state[i].ready > step ||
-          state[i].wait_until > step) {
+      if (!arbiter.won(key, step, i) || st.ready > step ||
+          st.wait_until > step) {
         still_active.push_back(i);
         continue;
       }
       // The head crosses at this step; the link streams flits behind it.
-      busy_until[key] = step + F - 1;
-      ++state[i].hop;
-      state[i].ready = step + 1;
-      if (state[i].hop == keys[i].size()) {
+      busy_until[static_cast<std::size_t>(key)] = step + F - 1;
+      ++st.hop;
+      st.ready = step + 1;
+      if (st.hop == st.end) {
         const std::int64_t tail_arrival = step + F - 1;
         result.latency.add(static_cast<double>(tail_arrival));
         result.makespan = std::max(result.makespan, tail_arrival);
@@ -206,7 +193,7 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
         still_active.push_back(i);
       }
     }
-    active = std::move(still_active);
+    active.swap(still_active);
   }
 
   result.completed = active.empty();

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "simulator/link_arbiter.hpp"
 #include "util/bits.hpp"
 #include "util/check.hpp"
 #include "util/contracts.hpp"
@@ -98,8 +98,8 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
                             : std::max<std::int64_t>(64 * workload.horizon, 4096);
 
   struct Flight {
-    std::vector<EdgeId> edges;
-    std::size_t hop = 0;
+    std::size_t hop = 0;        // its next edge's index in `edges`
+    std::size_t end = 0;        // one past its last edge's index
     std::int64_t injected_at = 0;
     std::int64_t arrival = 0;   // step it reached its current node
     std::uint64_t rank = 0;
@@ -113,23 +113,29 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
 
   Rng rng(options.seed);
   // One scratch for the whole simulation: path selection in the injection
-  // loop reuses its buffers, so steady-state injections allocate only the
-  // flight's own edge list.
+  // loop reuses its buffers. Every flight's edges go back to back into
+  // `edges` (a reroute appends the new path's), so a step allocates only
+  // when `edges` grows.
   RouteScratch scratch;
+  std::vector<EdgeId> edges;
   std::vector<Flight> flights;
   flights.reserve(workload.packets.size());
   std::vector<std::size_t> active;
+  std::vector<std::size_t> still_active;
+  active.reserve(workload.packets.size());
+  still_active.reserve(workload.packets.size());
   std::size_t next_packet = 0;
 
-  const auto wins = [&](const Flight& a, const Flight& b, std::size_t ia,
-                        std::size_t ib) {
+  const auto wins = [&](std::size_t ia, std::size_t ib) {
+    const Flight& a = flights[ia];
+    const Flight& b = flights[ib];
     switch (options.policy) {
       case SchedulingPolicy::kFifo:
         if (a.arrival != b.arrival) return a.arrival < b.arrival;
         return ia < ib;
       case SchedulingPolicy::kFurthestToGo: {
-        const auto ra = static_cast<std::int64_t>(a.edges.size() - a.hop);
-        const auto rb = static_cast<std::int64_t>(b.edges.size() - b.hop);
+        const auto ra = static_cast<std::int64_t>(a.end - a.hop);
+        const auto rb = static_cast<std::int64_t>(b.end - b.hop);
         if (ra != rb) return ra > rb;
         return ia < ib;
       }
@@ -140,8 +146,13 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
     OBLV_UNREACHABLE("unknown policy");
   };
 
-  std::unordered_map<EdgeId, std::size_t> winner;
-  std::unordered_map<NodeId, std::int64_t> occupancy;
+  LinkArbiter arbiter(mesh, /*full_duplex=*/false);
+  // Packets queued at each node this step, stamped like the link slots.
+  struct NodeQueue {
+    std::int64_t step = 0;
+    std::int64_t packets = 0;
+  };
+  std::vector<NodeQueue> occupancy(static_cast<std::size_t>(mesh.num_nodes()));
   const std::int64_t saturation_limit =
       options.saturation_queue_per_node > 0
           ? options.saturation_queue_per_node * mesh.num_nodes()
@@ -177,51 +188,45 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
       } else {
         router.route_into(demand.src, demand.dst, rng, scratch, scratch.path);
       }
-      const Path& path = scratch.path;
-      flight.edges.reserve(static_cast<std::size_t>(path.length()));
-      for (std::size_t j = 0; j + 1 < path.nodes.size(); ++j) {
-        flight.edges.push_back(mesh.edge_between(path.nodes[j], path.nodes[j + 1]));
-      }
+      flight.hop = edges.size();
+      append_link_keys(mesh, scratch.path.nodes, /*full_duplex=*/false, edges);
+      flight.end = edges.size();
       flight.injected_at = demand.inject_step;
       flight.arrival = step;
       flight.rank = rng.next_u64();
       flight.at = demand.src;
       flight.dst = demand.dst;
-      if (flight.edges.empty()) {
+      if (flight.hop == flight.end) {
         ++result.delivered;
         result.latency.add(0.0);
       } else {
-        flights.push_back(std::move(flight));
+        flights.push_back(flight);
         active.push_back(flights.size() - 1);
       }
       ++next_packet;
     }
 
     ++step;
-    winner.clear();
-    occupancy.clear();
     for (const std::size_t i : active) {
       const Flight& f = flights[i];
-      result.max_node_queue = std::max(result.max_node_queue, ++occupancy[f.at]);
+      NodeQueue& queue = occupancy[static_cast<std::size_t>(f.at)];
+      if (queue.step != step) queue = {step, 0};
+      result.max_node_queue = std::max(result.max_node_queue, ++queue.packets);
       // Backed-off and blocked-by-fault packets occupy their queue slot
       // but do not compete for an edge this step.
       if (f.wait_until > step) continue;
-      const EdgeId e = f.edges[f.hop];
+      const EdgeId e = edges[f.hop];
       if (faulty && options.faults->edge_failed(e, step)) continue;
-      const auto it = winner.find(e);
-      if (it == winner.end() || wins(f, flights[it->second], i, it->second)) {
-        winner[e] = i;
-      }
+      arbiter.request(e, step, i, wins);
     }
-    std::vector<std::size_t> still_active;
-    still_active.reserve(active.size());
+    still_active.clear();
     for (const std::size_t i : active) {
       Flight& f = flights[i];
       if (f.wait_until > step) {
         still_active.push_back(i);
         continue;
       }
-      const EdgeId e = f.edges[f.hop];
+      const EdgeId e = edges[f.hop];
       if (faulty && options.faults->edge_failed(e, step)) {
         // The edge ahead died under the packet: requeue with fresh random
         // bits from the node it is stuck at, or drop once the budget is
@@ -239,17 +244,14 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
                          static_cast<std::uint64_t>(backoff));
         f.wait_until = step + backoff;
         router.route_into(f.at, f.dst, rng, scratch, scratch.path);
-        f.edges.clear();
-        for (std::size_t j = 0; j + 1 < scratch.path.nodes.size(); ++j) {
-          f.edges.push_back(mesh.edge_between(scratch.path.nodes[j],
-                                              scratch.path.nodes[j + 1]));
-        }
-        f.hop = 0;
+        f.hop = edges.size();
+        append_link_keys(mesh, scratch.path.nodes, /*full_duplex=*/false, edges);
+        f.end = edges.size();
         f.arrival = step;
         still_active.push_back(i);
         continue;
       }
-      if (winner[e] != i) {
+      if (!arbiter.won(e, step, i)) {
         still_active.push_back(i);
         continue;
       }
@@ -257,7 +259,7 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
       f.at = (f.at == a) ? b : a;
       ++f.hop;
       f.arrival = step;
-      if (f.hop == f.edges.size()) {
+      if (f.hop == f.end) {
         ++result.delivered;
         result.latency.add(static_cast<double>(step - f.injected_at));
         result.last_delivery = std::max(result.last_delivery, step);
@@ -265,7 +267,7 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
         still_active.push_back(i);
       }
     }
-    active = std::move(still_active);
+    active.swap(still_active);
   }
 
   result.completed = active.empty() && next_packet == workload.packets.size();

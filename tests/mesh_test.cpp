@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "mesh/mesh.hpp"
 #include "mesh/region.hpp"
@@ -199,19 +200,75 @@ TEST(Mesh, RejectsBadConstruction) {
 
 // --- edges -------------------------------------------------------------------
 
+// Shapes for the edge-numbering sweep: 1D-4D, non-square sides, side-1
+// dimensions, and (as tori) the wrap-free sides 1 and 2 next to 3 and 4.
+const std::vector<std::vector<std::int64_t>> kEdgeShapes = {
+    {1},       {2},          {3},          {8},    {4, 8},
+    {3, 5},    {1, 8},       {8, 1},       {2, 2}, {8, 1, 4},
+    {2, 3, 4}, {4, 4, 4},    {3, 2, 4, 2}, {2, 1, 3, 3},
+};
+
+// Coordinate-based reference numbering, independent of Mesh's own: edges
+// dimension-major, each keyed by its lower endpoint (a wrap edge by its
+// end at side-1) in mixed radix, the radix along the edge's dimension
+// being side (a torus dimension of side > 2) or side - 1. Returns
+// kInvalidEdge for non-adjacent pairs.
+EdgeId reference_edge(const Mesh& m, NodeId a, NodeId b) {
+  const Coord ca = m.coord(a);
+  const Coord cb = m.coord(b);
+  const auto dims = static_cast<std::size_t>(m.dim());
+  std::vector<std::int64_t> radix(dims);
+  for (std::size_t d = 0; d < dims; ++d) {
+    const std::int64_t side = m.sides()[d];
+    radix[d] = m.torus() && side > 2 ? side : side - 1;
+  }
+  std::size_t diff = dims;
+  for (std::size_t d = 0; d < dims; ++d) {
+    if (ca[d] == cb[d]) continue;
+    if (diff != dims) return kInvalidEdge;
+    diff = d;
+  }
+  if (diff == dims) return kInvalidEdge;
+  const std::int64_t lo = std::min(ca[diff], cb[diff]);
+  const std::int64_t hi = std::max(ca[diff], cb[diff]);
+  Coord key = ca;
+  if (hi - lo == 1) {
+    key[diff] = lo;
+  } else if (radix[diff] == m.sides()[diff] && lo == 0 &&
+             hi == m.sides()[diff] - 1) {
+    key[diff] = hi;
+  } else {
+    return kInvalidEdge;
+  }
+  EdgeId offset = 0;
+  for (std::size_t d = 0; d < diff; ++d) {
+    offset += radix[d] * (m.num_nodes() / m.sides()[d]);
+  }
+  EdgeId idx = 0;
+  for (std::size_t d = 0; d < dims; ++d) {
+    idx = idx * (d == diff ? radix[d] : m.sides()[d]) + key[d];
+  }
+  return offset + idx;
+}
+
 TEST(MeshEdges, EndpointsRoundTrip) {
-  for (const bool torus : {false, true}) {
-    const Mesh m({4, 8}, torus);
-    std::set<std::pair<NodeId, NodeId>> seen;
-    for (EdgeId e = 0; e < m.num_edges(); ++e) {
-      const auto [a, b] = m.edge_endpoints(e);
-      EXPECT_TRUE(m.adjacent(a, b)) << "edge " << e;
-      EXPECT_EQ(m.edge_between(a, b), e);
-      EXPECT_EQ(m.edge_between(b, a), e);
-      seen.insert({std::min(a, b), std::max(a, b)});
+  for (const auto& sides : kEdgeShapes) {
+    for (const bool torus : {false, true}) {
+      const Mesh m(sides, torus);
+      SCOPED_TRACE(m.describe());
+      std::set<std::pair<NodeId, NodeId>> seen;
+      for (EdgeId e = 0; e < m.num_edges(); ++e) {
+        const auto [a, b] = m.edge_endpoints(e);
+        EXPECT_TRUE(m.adjacent(a, b)) << "edge " << e;
+        EXPECT_EQ(reference_edge(m, a, b), e);
+        EXPECT_EQ(m.edge_between(a, b), e);
+        EXPECT_EQ(m.edge_between(b, a), e);
+        EXPECT_EQ(b, m.step(a, m.edge_dim(e), 1)) << "edge " << e;
+        seen.insert({std::min(a, b), std::max(a, b)});
+      }
+      // All edges distinct.
+      EXPECT_EQ(seen.size(), static_cast<std::size_t>(m.num_edges()));
     }
-    // All edges distinct.
-    EXPECT_EQ(seen.size(), static_cast<std::size_t>(m.num_edges()));
   }
 }
 
@@ -241,6 +298,27 @@ TEST(MeshEdges, EdgeBetweenRequiresAdjacency) {
   const Mesh m({4, 4});
   EXPECT_THROW(m.edge_between(0, 5), std::invalid_argument);
   EXPECT_THROW(m.edge_between(0, 0), std::invalid_argument);
+  EXPECT_THROW(m.edge_between(-1, 0), std::invalid_argument);
+  EXPECT_THROW(m.edge_between(15, 16), std::invalid_argument);
+  // Every node pair of every shape: an adjacent pair gives the reference
+  // id, any other pair (a == b included) throws.
+  for (const auto& sides : kEdgeShapes) {
+    for (const bool torus : {false, true}) {
+      const Mesh mesh(sides, torus);
+      SCOPED_TRACE(mesh.describe());
+      for (NodeId a = 0; a < mesh.num_nodes(); ++a) {
+        for (NodeId b = 0; b < mesh.num_nodes(); ++b) {
+          const EdgeId want = reference_edge(mesh, a, b);
+          if (want == kInvalidEdge) {
+            EXPECT_THROW(mesh.edge_between(a, b), std::invalid_argument)
+                << a << "-" << b;
+          } else {
+            EXPECT_EQ(mesh.edge_between(a, b), want) << a << "-" << b;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(MeshEdges, WrapEdgeKeyedAtHighCoordinate) {
