@@ -3,10 +3,11 @@
 // For any submesh M', every packet with exactly one endpoint inside M'
 // must cross its boundary, so any routing (oblivious or not) has
 // congestion at least B(M', Pi) = |Pi'| / out(M'). We evaluate B over
-// every regular submesh of the hierarchical decomposition -- O(N log n)
-// containment tests, no path construction -- plus the trivial
-// average-load bound total_distance / |E|. Every congestion experiment
-// reports C relative to this bound.
+// every regular submesh of the hierarchical decomposition -- one pass over
+// the demands per (level, type) in memory linear in the demand count, no
+// path construction -- plus the trivial average-load bound
+// total_distance / |E|. Every congestion experiment reports C relative to
+// this bound.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,8 @@ struct CongestionLowerBound {
   double value() const;
 };
 
-// Boundary congestion over all regular submeshes of `decomposition`.
+// Boundary congestion over all regular submeshes of `decomposition`; ties
+// on the bound go to the smallest (level, type, grid_key).
 // \pre `decomposition` was built over this same `mesh` object.
 CongestionLowerBound congestion_lower_bound(const Mesh& mesh,
                                             const Decomposition& decomposition,

@@ -42,7 +42,7 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
     std::size_t hop = 0;       // its next link key's index in `keys`
     std::size_t end = 0;       // one past its last link key's index
     std::size_t start = 0;     // `keys` index of its current path's first hop
-    std::int64_t ready = 1;    // earliest step the head can cross again
+    std::int64_t arrival = 0;  // step its head crossed its last link
     std::uint64_t rank = 0;
     int retries = 0;           // fault requeues consumed
     std::int64_t wait_until = 0;  // backoff: head idles until this step
@@ -111,41 +111,23 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
   const EdgeId links = mesh.num_edges() * (options.full_duplex ? 2 : 1);
   std::vector<std::int64_t> busy_until(static_cast<std::size_t>(links));
 
-  const auto wins = [&](std::size_t a, std::size_t b) {
-    switch (options.policy) {
-      case SchedulingPolicy::kFifo:
-        if (state[a].ready != state[b].ready) return state[a].ready < state[b].ready;
-        return a < b;
-      case SchedulingPolicy::kFurthestToGo: {
-        const auto ra = static_cast<std::int64_t>(state[a].end - state[a].hop);
-        const auto rb = static_cast<std::int64_t>(state[b].end - state[b].hop);
-        if (ra != rb) return ra > rb;
-        return a < b;
-      }
-      case SchedulingPolicy::kRandomRank:
-        if (state[a].rank != state[b].rank) return state[a].rank < state[b].rank;
-        return a < b;
-    }
-    OBLV_UNREACHABLE("unknown policy");
-  };
-
-  LinkArbiter arbiter(mesh, options.full_duplex);
+  LinkArbiter arbiter(mesh, options.full_duplex, options.policy);
   std::int64_t step = 0;
   while (!active.empty() && step < max_steps) {
     ++step;
     for (const std::size_t i : active) {
-      if (state[i].ready > step || state[i].wait_until > step) continue;
+      if (state[i].wait_until > step) continue;
       const EdgeId key = keys[state[i].hop];
       // A failed link refuses the head flit; the packet requeues below.
       if (faulty && options.faults->edge_failed(edge_of(key), step)) continue;
       if (busy_until[static_cast<std::size_t>(key)] >= step) continue;
-      arbiter.request(key, step, i, wins);
+      arbiter.request(key, step, state, i);
     }
     still_active.clear();
     for (const std::size_t i : active) {
       PacketState& st = state[i];
       const EdgeId key = keys[st.hop];
-      if (faulty && st.ready <= step && st.wait_until <= step &&
+      if (faulty && st.wait_until <= step &&
           options.faults->edge_failed(edge_of(key), step)) {
         // Requeue with backoff, or drop once the budget is spent -- the
         // packet always leaves the network counted.
@@ -175,15 +157,14 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
         still_active.push_back(i);
         continue;
       }
-      if (!arbiter.won(key, step, i) || st.ready > step ||
-          st.wait_until > step) {
+      if (!arbiter.won(key, step, i)) {
         still_active.push_back(i);
         continue;
       }
       // The head crosses at this step; the link streams flits behind it.
       busy_until[static_cast<std::size_t>(key)] = step + F - 1;
       ++st.hop;
-      st.ready = step + 1;
+      st.arrival = step;
       if (st.hop == st.end) {
         const std::int64_t tail_arrival = step + F - 1;
         result.latency.add(static_cast<double>(tail_arrival));

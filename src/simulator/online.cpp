@@ -126,27 +126,7 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
   still_active.reserve(workload.packets.size());
   std::size_t next_packet = 0;
 
-  const auto wins = [&](std::size_t ia, std::size_t ib) {
-    const Flight& a = flights[ia];
-    const Flight& b = flights[ib];
-    switch (options.policy) {
-      case SchedulingPolicy::kFifo:
-        if (a.arrival != b.arrival) return a.arrival < b.arrival;
-        return ia < ib;
-      case SchedulingPolicy::kFurthestToGo: {
-        const auto ra = static_cast<std::int64_t>(a.end - a.hop);
-        const auto rb = static_cast<std::int64_t>(b.end - b.hop);
-        if (ra != rb) return ra > rb;
-        return ia < ib;
-      }
-      case SchedulingPolicy::kRandomRank:
-        if (a.rank != b.rank) return a.rank < b.rank;
-        return ia < ib;
-    }
-    OBLV_UNREACHABLE("unknown policy");
-  };
-
-  LinkArbiter arbiter(mesh, /*full_duplex=*/false);
+  LinkArbiter arbiter(mesh, /*full_duplex=*/false, options.policy);
   // Packets queued at each node this step, stamped like the link slots.
   struct NodeQueue {
     std::int64_t step = 0;
@@ -217,7 +197,7 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
       if (f.wait_until > step) continue;
       const EdgeId e = edges[f.hop];
       if (faulty && options.faults->edge_failed(e, step)) continue;
-      arbiter.request(e, step, i, wins);
+      arbiter.request(e, step, flights, i);
     }
     still_active.clear();
     for (const std::size_t i : active) {
