@@ -29,60 +29,45 @@ CongestionLowerBound congestion_lower_bound(const Mesh& mesh,
   CongestionLowerBound out;
   out.average = average_load_bound(mesh, problem);
 
-  // A crossed endpoint: its submesh's grid_key and the node. The two
-  // buffers hold at most two per demand and serve every (level, type).
+  // Both endpoints of every demand, then their cells' keys in one family.
+  std::vector<NodeId> ends;
+  ends.reserve(2 * problem.demands.size());
+  for (const Demand& demand : problem.demands) {
+    ends.push_back(demand.src);
+    ends.push_back(demand.dst);
+  }
+  std::vector<std::int64_t> keys(ends.size());
+  // A crossed endpoint: its submesh's grid_key and the node. The buffers
+  // are sized by the demand count and serve every (level, type).
   struct Crossing {
     std::int64_t key;
     NodeId node;
   };
   std::vector<Crossing> crossed;
   std::vector<Crossing> sorted;
-  crossed.reserve(2 * problem.demands.size());
-  sorted.reserve(2 * problem.demands.size());
+  crossed.reserve(ends.size());
+  sorted.reserve(ends.size());
 
-  // Sides are 2^k, so coordinate d of a node is bits [k (dim-1-d), +k) of
-  // its id and a cell index is a shift. Levels 1..k: the root holds every
-  // pair, and single nodes give the max-degree bound for hot spots.
-  const int k = decomposition.leaf_level();
-  const int dim = mesh.dim();
-  const std::int64_t side = std::int64_t{1} << k;
-  for (int level = 1; level <= k; ++level) {
-    const int log_m = k - level;
-    const std::int64_t m = std::int64_t{1} << log_m;
-    const std::int64_t radix = side / m + 2;
-    std::int64_t key_limit = 1;
-    for (int d = 0; d < dim; ++d) key_limit *= radix;
+  // Levels 1..k: the root holds every pair, and single nodes give the
+  // max-degree bound for hot spots.
+  for (int level = 1; level <= decomposition.leaf_level(); ++level) {
     for (int type = 1; type <= decomposition.num_types(level); ++type) {
-      const std::int64_t shift = (type - 1) * decomposition.shift_lambda(level);
-      const bool discards = type > 1 && !mesh.torus() &&
-                            decomposition.config().discard_corners;
-      // The grid_key submesh_at gives node p's cell, or -1 when
-      // make_submesh discards it: a corner, truncated in every dimension.
-      const auto cell = [&](NodeId p) {
-        std::int64_t key = 0;
-        bool truncated_all = true;
-        for (int d = 0; d < dim; ++d) {
-          const std::int64_t x = ((p >> (k * (dim - 1 - d))) & (side - 1)) - shift;
-          const std::int64_t i = (mesh.torus() ? x & (side - 1) : x) >> log_m;
-          key = key * radix + (i + 1);
-          const std::int64_t raw = shift + i * m;
-          truncated_all = truncated_all && (raw < 0 || raw + m > side);
-        }
-        return discards && truncated_all ? -1 : key;
-      };
+      decomposition.cell_keys(level, type, ends, keys);
       // A family partitions the mesh: a submesh holding one endpoint
       // holds the other exactly when both lie in the same cell.
       crossed.clear();
-      for (const Demand& demand : problem.demands) {
-        const std::int64_t ks = cell(demand.src);
-        const std::int64_t kt = cell(demand.dst);
-        if (ks == kt) continue;
-        if (ks >= 0) crossed.push_back({ks, demand.src});
-        if (kt >= 0) crossed.push_back({kt, demand.dst});
+      std::int64_t top = 0;
+      for (std::size_t j = 0; j < ends.size(); j += 2) {
+        if (keys[j] == keys[j + 1]) continue;
+        for (const std::size_t e : {j, j + 1}) {
+          if (keys[e] < 0) continue;  // a discarded corner
+          crossed.push_back({keys[e], ends[e]});
+          top = std::max(top, keys[e]);
+        }
       }
       // LSD radix sort by key, 11 bits a pass, so runs of a key are
       // adjacent and come in ascending key order.
-      for (int bit = 0; ((key_limit - 1) >> bit) > 0; bit += 11) {
+      for (int bit = 0; (top >> bit) > 0; bit += 11) {
         std::array<std::size_t, 2049> at{};
         for (const Crossing& c : crossed) ++at[((c.key >> bit) & 2047) + 1];
         for (std::size_t b = 1; b < at.size(); ++b) at[b] += at[b - 1];

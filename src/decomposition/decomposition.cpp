@@ -169,6 +169,36 @@ std::optional<RegularSubmesh> Decomposition::submesh_at(const Coord& p, int leve
   return sm;
 }
 
+void Decomposition::cell_keys(int level, int type, std::span<const NodeId> nodes,
+                              std::span<std::int64_t> keys) const {
+  OBLV_REQUIRE(type >= 1 && type <= num_types(level), "type out of range");
+  OBLV_REQUIRE(keys.size() == nodes.size(), "one key per node");
+  const int dim = mesh_->dim();
+  const std::int64_t m = side_at(level);
+  const std::int64_t shift =
+      static_cast<std::int64_t>(type - 1) * shift_lambda(level);
+  const std::int64_t key_radix = side_ / m + 2;
+  const int log_m = k_ - level;
+  const bool discards = type > 1 && config_.discard_corners && !mesh_->torus();
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    OBLV_REQUIRE(nodes[j] >= 0 && nodes[j] < mesh_->num_nodes(),
+                 "node id out of range");
+    // make_submesh's key and corner rule, coordinate d being bits
+    // [k (dim-1-d), +k) of the id and cell_index a shift.
+    std::int64_t key = 0;
+    bool truncated_all = true;
+    for (int d = 0; d < dim; ++d) {
+      const std::int64_t x =
+          ((nodes[j] >> (k_ * (dim - 1 - d))) & (side_ - 1)) - shift;
+      const std::int64_t i = (mesh_->torus() ? x & (side_ - 1) : x) >> log_m;
+      key = key * key_radix + (i + 1);
+      const std::int64_t raw = shift + i * m;
+      truncated_all = truncated_all && (raw < 0 || raw + m > side_);
+    }
+    keys[j] = discards && truncated_all ? -1 : key;
+  }
+}
+
 std::optional<RegularSubmesh> Decomposition::common_submesh(const Coord& s,
                                                             const Coord& t,
                                                             int level,

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "mesh/mesh.hpp"
@@ -95,6 +96,13 @@ class Decomposition {
   // The submesh of the given family containing p, or nullopt when that
   // piece is discarded (Section 3 corner rule).
   std::optional<RegularSubmesh> submesh_at(const Coord& p, int level, int type) const;
+
+  // For each node of `nodes`, the grid_key submesh_at reports for its cell
+  // of the family, or -1 where that piece is discarded. Shifts and masks on
+  // the node ids (sides are 2^k); no submesh is built.
+  // \pre keys.size() == nodes.size().
+  void cell_keys(int level, int type, std::span<const NodeId> nodes,
+                 std::span<std::int64_t> keys) const;
 
   // The submesh of the family containing both s and t, if one exists.
   std::optional<RegularSubmesh> common_submesh(const Coord& s, const Coord& t,

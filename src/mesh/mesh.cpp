@@ -202,10 +202,8 @@ EdgeId Mesh::edge_between(NodeId a, NodeId b) const {
   const NodeId lo = std::min(a, b);
   const NodeId delta = std::max(a, b) - lo;
   for (std::size_t d = 0; d < sides_.size(); ++d) {
-    // Node ids split into lines of dimension d: `line` ids per line, the
-    // coordinate along d being offset / s. An edge is numbered by its key
-    // node u (the lower endpoint, or a wrap edge's end at side-1) as
-    // u / line * (radix * s) + u % line within the dimension.
+    // An edge's key node u (its lower end, or a wrap edge's end at side-1)
+    // numbers it u / line * (radix * s) + u % line within dimension d.
     const std::int64_t s = node_strides_[d];
     const std::int64_t line = sides_[d] * s;
     const bool wraps = edge_dim_radix_[d] == sides_[d];

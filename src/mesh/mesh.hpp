@@ -81,8 +81,7 @@ class Mesh {
   // Undirected edge between u and its +1 neighbor along dimension d.
   // On the torus this includes the wrap edge (coordinate side-1 -> 0).
   EdgeId edge_id(const Coord& u, int d) const;
-  // Edge between two adjacent nodes (precondition: adjacent(a,b)). Both
-  // lookups are node-id arithmetic, one division each.
+  // Edge between two adjacent nodes (precondition: adjacent(a,b)).
   EdgeId edge_between(NodeId a, NodeId b) const;
   // Inverse of the numbering: endpoints (u, v) with v = u + e_d.
   std::pair<NodeId, NodeId> edge_endpoints(EdgeId e) const;

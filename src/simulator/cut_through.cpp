@@ -94,9 +94,7 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
   Rng rng(options.seed);
   RouteScratch scratch;
   std::vector<std::size_t> active;
-  std::vector<std::size_t> still_active;
   active.reserve(paths.size());
-  still_active.reserve(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     state[i].rank = rng.next_u64();
     if (state[i].hop == state[i].end) {
@@ -123,7 +121,8 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
       if (busy_until[static_cast<std::size_t>(key)] >= step) continue;
       arbiter.request(key, step, state, i);
     }
-    still_active.clear();
+    // Packets still in flight compact to the front of `active`, in order.
+    std::size_t kept = 0;
     for (const std::size_t i : active) {
       PacketState& st = state[i];
       const EdgeId key = keys[st.hop];
@@ -154,11 +153,11 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
           append_link_keys(mesh, cur_nodes[i], options.full_duplex, keys);
           st.end = keys.size();
         }
-        still_active.push_back(i);
+        active[kept++] = i;
         continue;
       }
       if (!arbiter.won(key, step, i)) {
-        still_active.push_back(i);
+        active[kept++] = i;
         continue;
       }
       // The head crosses at this step; the link streams flits behind it.
@@ -171,10 +170,10 @@ CutThroughResult simulate_cut_through(const Mesh& mesh,
         result.makespan = std::max(result.makespan, tail_arrival);
         ++result.delivered;
       } else {
-        still_active.push_back(i);
+        active[kept++] = i;
       }
     }
-    active.swap(still_active);
+    active.resize(kept);
   }
 
   result.completed = active.empty();

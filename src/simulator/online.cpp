@@ -121,9 +121,7 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
   std::vector<Flight> flights;
   flights.reserve(workload.packets.size());
   std::vector<std::size_t> active;
-  std::vector<std::size_t> still_active;
   active.reserve(workload.packets.size());
-  still_active.reserve(workload.packets.size());
   std::size_t next_packet = 0;
 
   LinkArbiter arbiter(mesh, /*full_duplex=*/false, options.policy);
@@ -199,11 +197,12 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
       if (faulty && options.faults->edge_failed(e, step)) continue;
       arbiter.request(e, step, flights, i);
     }
-    still_active.clear();
+    // Packets still in flight compact to the front of `active`, in order.
+    std::size_t kept = 0;
     for (const std::size_t i : active) {
       Flight& f = flights[i];
       if (f.wait_until > step) {
-        still_active.push_back(i);
+        active[kept++] = i;
         continue;
       }
       const EdgeId e = edges[f.hop];
@@ -228,11 +227,11 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
         append_link_keys(mesh, scratch.path.nodes, /*full_duplex=*/false, edges);
         f.end = edges.size();
         f.arrival = step;
-        still_active.push_back(i);
+        active[kept++] = i;
         continue;
       }
       if (!arbiter.won(e, step, i)) {
-        still_active.push_back(i);
+        active[kept++] = i;
         continue;
       }
       const auto [a, b] = mesh.edge_endpoints(e);
@@ -244,10 +243,10 @@ OnlineResult simulate_online(const Mesh& mesh, const Router& router,
         result.latency.add(static_cast<double>(step - f.injected_at));
         result.last_delivery = std::max(result.last_delivery, step);
       } else {
-        still_active.push_back(i);
+        active[kept++] = i;
       }
     }
-    active.swap(still_active);
+    active.resize(kept);
   }
 
   result.completed = active.empty() && next_packet == workload.packets.size();

@@ -2,6 +2,8 @@
 
 #include <map>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -183,8 +185,13 @@ TEST_P(Section3Decomposition, ShiftedSubmeshesDecomposeIntoType1Children) {
 }
 
 TEST_P(Section3Decomposition, SubmeshAtAgreesWithEnumeration) {
-  // The implicit containment query returns exactly the submesh that the
-  // exhaustive enumeration finds.
+  // The implicit containment query, and the node-id cell keys, return
+  // exactly the submesh that the exhaustive enumeration finds.
+  std::vector<NodeId> nodes(static_cast<std::size_t>(mesh_.num_nodes()));
+  for (NodeId u = 0; u < mesh_.num_nodes(); ++u) {
+    nodes[static_cast<std::size_t>(u)] = u;
+  }
+  std::vector<std::int64_t> keys(nodes.size());
   for (int level = 0; level <= dec_.leaf_level(); ++level) {
     for (int type = 1; type <= dec_.num_types(level); ++type) {
       std::map<NodeId, std::int64_t> owner;  // node -> grid key
@@ -193,18 +200,24 @@ TEST_P(Section3Decomposition, SubmeshAtAgreesWithEnumeration) {
           if (sm.region.contains_node(mesh_, u)) owner[u] = sm.grid_key;
         }
       });
+      dec_.cell_keys(level, type, nodes, keys);
       for (NodeId u = 0; u < mesh_.num_nodes(); ++u) {
         const auto sm = dec_.submesh_at(mesh_.coord(u), level, type);
         const auto it = owner.find(u);
         if (it == owner.end()) {
           EXPECT_FALSE(sm.has_value());
+          EXPECT_EQ(keys[static_cast<std::size_t>(u)], -1);
         } else {
           ASSERT_TRUE(sm.has_value());
           EXPECT_EQ(sm->grid_key, it->second);
+          EXPECT_EQ(keys[static_cast<std::size_t>(u)], it->second);
         }
       }
     }
   }
+  const std::vector<NodeId> off_mesh = {mesh_.num_nodes()};
+  EXPECT_THROW(dec_.cell_keys(1, 1, off_mesh, std::span(keys).first(1)),
+               std::invalid_argument);
 }
 
 TEST_P(Section3Decomposition, GridKeysAreUniquePerFamily) {
