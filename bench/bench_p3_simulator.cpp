@@ -4,7 +4,7 @@
 // The synchronous one-packet-per-link model of Section 1 is what E8, E11
 // and E15 measure delivery time in, and the boundary bound C* of Section 2
 // is what every congestion table is scored against. Each arm runs best of
-// --reps on 1 thread:
+// 5 on 1 thread:
 //   sf      simulate on a 32x32 random permutation routed by hierarchical-2d
 //   ct      simulate_cut_through on the same paths, F = 4
 //   online  simulate_online, hierarchical-2d, Bernoulli 0.05 per node per
@@ -14,8 +14,7 @@
 // Gated in perf smoke at 2x the recorded value: the per-step hash maps
 // these engines used before cost 2.5-4.8x more per hop.
 //
-// Flags: --reps N (default 5), --metrics-json FILE (also honors
-// OBLV_METRICS_JSON).
+// Flags: --metrics-json FILE (also honors OBLV_METRICS_JSON).
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -41,9 +40,9 @@ namespace {
 
 using namespace oblivious;
 
-double best_seconds(int reps, const std::function<void()>& run) {
+double best_of_5(const std::function<void()>& run) {
   double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < 5; ++r) {
     const WallTimer timer;
     run();
     const double s = timer.elapsed_seconds();
@@ -75,13 +74,11 @@ void gauge(const std::string& name, double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv, {"reps", "metrics-json"});
-  const int reps = std::max<int>(1, static_cast<int>(flags.get_int("reps", 5)));
+  const Flags flags = Flags::parse(argc, argv, {"metrics-json"});
   bench::banner("P3 / simulator and lower-bound cost",
                 "store-and-forward, cut-through and online simulation of "
                 "repro-2d's 32x32 inputs (ns per hop) and the boundary lower "
-                "bound of a 64x64 permutation (ms), best of " +
-                    std::to_string(reps));
+                "bound of a 64x64 permutation (ms), best of 5");
 
   const Mesh mesh = Mesh::cube(2, 32);
   const auto router = make_router(Algorithm::kHierarchical2d, mesh);
@@ -104,15 +101,14 @@ int main(int argc, char** argv) {
   CutThroughResult ct_result;
   OnlineResult online_result;
   double lower_bound = 0.0;
-  const double sf_s =
-      best_seconds(reps, [&] { sf_result = simulate(mesh, paths); });
-  const double ct_s = best_seconds(
-      reps, [&] { ct_result = simulate_cut_through(mesh, paths, ct); });
-  const double online_s = best_seconds(reps, [&] {
+  const double sf_s = best_of_5([&] { sf_result = simulate(mesh, paths); });
+  const double ct_s =
+      best_of_5([&] { ct_result = simulate_cut_through(mesh, paths, ct); });
+  const double online_s = best_of_5([&] {
     online_result = simulate_online(mesh, *router, workload, online);
   });
-  const double lb_s = best_seconds(
-      reps, [&] { lower_bound = best_lower_bound(lb_mesh, lb_problem); });
+  const double lb_s =
+      best_of_5([&] { lower_bound = best_lower_bound(lb_mesh, lb_problem); });
 
   const double sf_ns = sf_s * 1e9 / static_cast<double>(hops);
   const double ct_ns = ct_s * 1e9 / static_cast<double>(hops);
